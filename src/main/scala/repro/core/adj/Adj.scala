@@ -6,7 +6,7 @@ import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.exec.MultiwayJoin
-import repro.core.ghd.GHD
+import repro.core.ghd.{GHD, HyperNode}
 import repro.core.hcube.Rel
 import repro.core.hypergraph.Hypergraph
 import repro.core.sampling.Sampler
@@ -41,27 +41,34 @@ object Adj {
       memoryTuples: Option[Double] = None,
   )
 
-  /** Per-stage wall-clock report matching the paper's Tables II–IV columns. */
+  /** Per-stage wall-clock report matching the paper's Tables II–IV columns.
+    * Communication, computation and the result size come from the final
+    * join's [[MultiwayJoin.Timings]], so computation and the result size are
+    * defined once the returned result has been drained (0 before).
+    */
   final case class Report(
       optimizationSec: Double,
       preComputingSec: Double,
-      communicationSec: Double,
-      computationSec: Double,
       plan: Plan,
       shuffledTuples: Double,
-      resultCount: Long,
+      timings: MultiwayJoin.Timings,
   ) {
+    def communicationSec: Double = timings.communicationSec
+    def computationSec: Double   = timings.computationSec
+    def resultCount: Long        = timings.resultCount
     def totalSec: Double = optimizationSec + preComputingSec + communicationSec + computationSec
     override def toString: String =
       f"opt=$optimizationSec%.2fs pre=$preComputingSec%.2fs comm=$communicationSec%.2fs " +
         f"comp=$computationSec%.2fs total=$totalSec%.2fs $plan"
   }
 
-  /** Runs a natural join query.
+  /** Runs a natural join query. Inputs the caller has not persisted are
+    * persisted for the run and released once the final shuffle has run.
     *
     * @param data one RDD per query atom; columns in the atom's attribute order
     * @return result tuples in ascending attribute-id order (= the query's
-    *         first-appearance attribute order), plus the cost report
+    *         first-appearance attribute order), plus the cost report; the
+    *         result is lazy, and the final join runs when it is drained
     */
   def run(
       spark: SparkSession,
@@ -73,18 +80,24 @@ object Adj {
     val budget = cfg.cubeBudget.getOrElse(math.max(2, spark.sparkContext.defaultParallelism))
 
     // Count each distinct backing RDD once (the workload reuses one graph).
+    val persisted   = collection.mutable.ArrayBuffer.empty[RDD[Array[Long]]]
     val sizeByRddId = collection.mutable.Map.empty[Int, Long]
     val sizes = data.map { r =>
-      sizeByRddId.getOrElseUpdate(r.id, r.persist(StorageLevel.MEMORY_AND_DISK).count())
+      sizeByRddId.getOrElseUpdate(r.id, {
+        if (r.getStorageLevel == StorageLevel.NONE) persisted += r.persist(StorageLevel.MEMORY_AND_DISK)
+        r.count()
+      })
     }
     val rels = query.atoms.indices.map { i =>
       Rel(query.atoms(i).name, query.atoms(i).attrs.map(query.attrId), data(i), sizes(i))
     }.toVector
 
-    cfg.strategy match {
+    // The result reads only the final shuffle's output, so the inputs are
+    // no longer needed once the strategy returns.
+    try cfg.strategy match {
       case CoOptimization     => runCoOptimized(spark, query, rels, budget, cfg)
       case CommunicationFirst => runCommunicationFirst(spark, query, rels, budget, cfg)
-    }
+    } finally persisted.foreach(_.unpersist(blocking = false))
   }
 
   private def runCoOptimized(
@@ -107,35 +120,46 @@ object Adj {
     Console.err.println(f"[adj] plan: $plan shares=$finalShares optSec=$optSec%.1f " +
       f"alpha=${model.alpha}%.3g betaRaw=${model.betaRaw}%.3g betaPre=${model.betaPre}%.3g")
 
-    // Pre-compute the chosen bags with the one-round executor itself; the
-    // bag relations are persisted since the final join reads them again.
     val tPre0 = System.nanoTime()
-    val bagRdds = collection.mutable.ArrayBuffer.empty[org.apache.spark.rdd.RDD[Array[Long]]]
+    val bags  = collection.mutable.ArrayBuffer.empty[Rel]
     val finalRels = tree.nodes.indices.flatMap { v =>
       val node = tree.nodes(v)
       if (plan.preCompute.contains(v) && node.atomIdxs.length > 1) {
-        val subRels  = node.atomIdxs.map(rels)
-        // The bag sub-join gets its own connected attribute order: the
-        // global plan order is chosen against the whole query's constraints
-        // and can leave a bag attribute unconstrained for several levels.
-        val subOrd   = Optimizer.connectedOrder(node.atomIdxs.map(query.edges))
-        val (rdd0, subT, _) = MultiwayJoin.executeOptimized(
-          spark, subRels, subOrd, query.numAttrs, budget)
-        val rdd = rdd0.persist(StorageLevel.MEMORY_AND_DISK)
-        rdd.count()
-        bagRdds += rdd
-        val attrsAsc = node.attrs.toVector.sorted
-        Console.err.println(s"[adj] precomputed bag$v: ${subT.resultCount} tuples " +
-          f"(comm=${subT.communicationSec}%.1fs comp=${subT.computationSec}%.1fs)")
-        Seq(Rel(s"bag$v", attrsAsc, rdd, subT.resultCount))
+        bags += precomputeBag(spark, query, rels, node, v, budget)
+        Seq(bags.last)
       } else node.atomIdxs.map(rels)
     }
     val preSec = (System.nanoTime() - tPre0) / 1e9
 
-    val (result, t) = MultiwayJoin.execute(spark, finalRels, plan.ord, finalShares.p, cfg.cacheSize)
-    bagRdds.foreach(_.unpersist(blocking = false))
-    (result, Report(optSec, preSec, t.communicationSec, t.computationSec, plan,
-      finalShares.shuffledTuples, t.resultCount))
+    val (result, t) =
+      try MultiwayJoin.execute(spark, finalRels, plan.ord, finalShares.p, cfg.cacheSize)
+      finally bags.foreach(_.rdd.unpersist(blocking = false))
+    (result, Report(optSec, preSec, plan, finalShares.shuffledTuples, t))
+  }
+
+  /** Pre-computes the bag of hypertree node `v` with the one-round executor
+    * itself. The bag is persisted and counted once: the count evaluates its
+    * sub-join and gives its size, and the final join's shuffle reads the
+    * persisted tuples. The caller unpersists the bag after that shuffle.
+    */
+  private[adj] def precomputeBag(
+      spark: SparkSession,
+      query: Hypergraph,
+      rels: Vector[Rel],
+      node: HyperNode,
+      v: Int,
+      budget: Int,
+  ): Rel = {
+    // The bag sub-join gets its own connected attribute order: the global
+    // plan order is chosen against the whole query's constraints and can
+    // leave a bag attribute unconstrained for several levels.
+    val subOrd = Optimizer.connectedOrder(node.atomIdxs.map(query.edges))
+    val (rdd, t, _) = MultiwayJoin.executeOptimized(
+      spark, node.atomIdxs.map(rels), subOrd, query.numAttrs, budget)
+    val size = rdd.persist(StorageLevel.MEMORY_AND_DISK).count()
+    Console.err.println(s"[adj] precomputed bag$v: $size tuples " +
+      f"(comm=${t.communicationSec}%.1fs comp=${t.computationSec}%.1fs)")
+    Rel(s"bag$v", node.attrs.toVector.sorted, rdd, size)
   }
 
   private def runCommunicationFirst(
@@ -158,8 +182,7 @@ object Adj {
     val optSec = (System.nanoTime() - tOpt0) / 1e9
     val (result, t) = MultiwayJoin.execute(spark, rels, ord, shares.p, cfg.cacheSize)
     val plan = Plan(Set.empty, Vector.empty, ord, 0.0)
-    (result, Report(optSec, 0.0, t.communicationSec, t.computationSec, plan,
-      shares.shuffledTuples, t.resultCount))
+    (result, Report(optSec, 0.0, plan, shares.shuffledTuples, t))
   }
 
   // ---------------------------------------------------------------- adapters

@@ -3,7 +3,8 @@ package repro.core.catalyst
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{SparkSession, SparkSessionExtensions}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeReference, EqualTo, Expression, UnsafeProjection}
+import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeReference, EqualTo, Expression}
+import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, LogicalPlan, Project}
 import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy}
@@ -156,16 +157,18 @@ final case class AdjJoinExec(
       }
     }
     val (result, report) = Adj.run(spark, query, data, cfg)
-    logInfo(s"ADJ report: $report")
+    logInfo(s"ADJ report before the join runs: $report")
     // Result columns are ascending attribute id == class id; each output
-    // column reads its class's value.
+    // column reads its class's value. The writer's row is reused across
+    // rows, as Spark operators' output rows are; no column is ever null.
     val outClasses = columnClass.toArray
-    val types      = output.map(_.dataType).toArray
-    result.mapPartitions { it =>
-      val proj = UnsafeProjection.create(types)
+    result.mapPartitions[InternalRow] { it =>
+      val writer = new UnsafeRowWriter(outClasses.length)
       it.map { t =>
-        val row = InternalRow.fromSeq(outClasses.map(c => t(c)).toSeq)
-        proj(row).copy()
+        writer.reset()
+        var i = 0
+        while (i < outClasses.length) { writer.write(i, t(outClasses(i))); i += 1 }
+        writer.getRow
       }
     }
   }

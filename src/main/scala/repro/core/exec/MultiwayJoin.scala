@@ -1,8 +1,10 @@
 package repro.core.exec
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.util.CollectionAccumulator
 
 import repro.core.hcube.{HCube, Rel, Shares}
 import repro.core.lftj.{Leapfrog, LeapfrogStats, TrieRelation}
@@ -11,17 +13,62 @@ import repro.core.lftj.{Leapfrog, LeapfrogStats, TrieRelation}
   * shuffle with a given share vector, then per-hypercube trie construction
   * and Leapfrog triejoin.
   *
+  * Only the shuffle runs eagerly. The returned result is lazy and is not
+  * persisted: each of its partitions evaluates one hypercube whenever a
+  * consumer reads it, so a consumer that drains it once evaluates the join
+  * once. A task that exhausts its hypercube adds (cube id, [[CubeStats]]) to
+  * an accumulator; [[Timings]] reads the computation phase and the result
+  * size from there, keeping one record per cube id.
+  *
   * Output tuples are in *attribute-id* order (column k = global attribute k),
   * restricted to the attributes the participating relations bind.
   */
 object MultiwayJoin {
 
-  /** Wall-clock phases of one execution, in seconds, plus the result size
-    * (counted while forcing the computation — the result RDD itself is NOT
-    * persisted, so large outputs do not have to be materialized in memory;
-    * re-collecting it recomputes the join).
+  /** Name of the cube-stats accumulators, as listeners and the Spark UI see it. */
+  val AccumulatorName = "adj.cubes"
+
+  /** One hypercube's evaluation: its start (epoch milliseconds on the task's
+    * clock), its seconds from reading its first block until its Leapfrog was
+    * exhausted, and its Leapfrog counters. The seconds include whatever work
+    * the consumer does per row in the same task.
     */
-  final case class Timings(communicationSec: Double, computationSec: Double, resultCount: Long)
+  final case class CubeStats(startMs: Long, sec: Double, leapfrog: LeapfrogStats) {
+    def rows: Long = leapfrog.levelCounts.last
+  }
+
+  /** Phases of one execution, in seconds, plus the result size.
+    *
+    * `communicationSec` is the HCube shuffle, which `execute` forces. The
+    * rest comes from the cubes the result's consumers have drained, so it is
+    * defined once the result has been drained: until the first cube is
+    * drained `computationSec` and `resultCount` are 0, and after a partial
+    * drain they cover the drained cubes only. A cube evaluated again (a
+    * second drain, or a retried task) replaces its earlier record, so nothing
+    * is counted twice.
+    *
+    * @param numCubes Π p, the number of hypercubes (= result partitions)
+    */
+  final class Timings private[exec] (
+      val communicationSec: Double,
+      val numCubes: Int,
+      acc: CollectionAccumulator[(Int, CubeStats)],
+  ) {
+
+    /** Stats of every drained cube, by cube id (= result partition index). */
+    def cubes: Map[Int, CubeStats] = acc.value.asScala.toMap
+
+    /** Whether every hypercube has been drained. */
+    def drained: Boolean = cubes.size == numCubes
+
+    /** Wall-clock span from the first drained cube's start to the last one's end. */
+    def computationSec: Double = {
+      val cs = cubes.values
+      if (cs.isEmpty) 0.0 else cs.map(c => c.startMs / 1e3 + c.sec).max - cs.map(_.startMs).min / 1e3
+    }
+
+    def resultCount: Long = cubes.valuesIterator.map(_.rows).sum
+  }
 
   /** Derives the trie level of every attribute from an attribute order.
     *
@@ -36,8 +83,8 @@ object MultiwayJoin {
     * @param p          HCube share vector indexed by attribute id
     * @param cacheSize  > 0 enables the CacheTrieJoin intersection cache
     * @return (result RDD of tuples in attribute-id order, timings); the
-    *         result is persisted and already materialized (counted), so the
-    *         reported phases measure real work
+    *         shuffle has run, the join has not: it runs when the result is
+    *         drained, and again on every further drain
     */
   def execute(
       spark: SparkSession,
@@ -49,38 +96,49 @@ object MultiwayJoin {
     val lvl   = levelOf(ord)
     val n     = ord.length
     // Row reorder: output column = attribute id ascending over used attrs.
-    val outAttrs = ord.sorted
-    val outPerm  = outAttrs.map(a => lvl(a)) // out col k takes binding(levels)
+    val outPerm = ord.sorted.map(lvl) // out col k takes binding(levels)
 
+    // Communication phase: run the shuffle's map side. The result reads the
+    // same shuffle, so its consumer's job skips the map stage.
     val t0       = System.nanoTime()
-    val shuffled = HCube.shufflePull(rels, p).persist(StorageLevel.MEMORY_AND_DISK)
-    shuffled.count() // force the shuffle: this is the communication phase
-    val t1 = System.nanoTime()
+    val shuffled = HCube.shufflePull(rels, p)
+    shuffled.foreachPartition(_ => ())
+    val commSec = (System.nanoTime() - t0) / 1e9
 
+    val acc = spark.sparkContext.collectionAccumulator[(Int, CubeStats)](AccumulatorName)
     val relAttrs = rels.map(_.attrs).toArray
-    val result = shuffled
-      .mapPartitions { it =>
-        val perRel = Array.fill(relAttrs.length)(collection.mutable.ArrayBuffer.empty[Array[Long]])
-        it.foreach { case (_, (ri, block)) => perRel(ri) ++= block }
+    val result = shuffled.mapPartitionsWithIndex { (cube, it) =>
+      val startMs = System.currentTimeMillis()
+      val start   = System.nanoTime()
+      val stats   = new LeapfrogStats(n)
+      val perRel  = Array.fill(relAttrs.length)(collection.mutable.ArrayBuffer.empty[Array[Long]])
+      it.foreach { case (_, (ri, block)) => perRel(ri) ++= block }
+      val rows =
         if (perRel.exists(_.isEmpty)) Iterator.empty
         else {
-          val tries = relAttrs.indices.map { ri =>
-            TrieRelation.build(relAttrs(ri), lvl, perRel(ri))
+          val tries = relAttrs.indices.map(ri => TrieRelation.build(relAttrs(ri), lvl, perRel(ri)))
+          new Leapfrog(tries, n, cacheSize = cacheSize, stats = stats)
+        }
+      new Iterator[Array[Long]] {
+        private var open = true
+        override def hasNext: Boolean = {
+          val more = rows.hasNext
+          if (!more && open) {
+            open = false
+            acc.add(cube -> CubeStats(startMs, (System.nanoTime() - start) / 1e9, stats))
           }
-          val lf = new Leapfrog(tries.toIndexedSeq, n, cacheSize = cacheSize,
-                                stats = new LeapfrogStats(n))
-          lf.map { row =>
-            val out = new Array[Long](n)
-            var k = 0
-            while (k < n) { out(k) = row(outPerm(k)); k += 1 }
-            out
-          }
+          more
+        }
+        override def next(): Array[Long] = {
+          val row = rows.next()
+          val out = new Array[Long](n)
+          var k = 0
+          while (k < n) { out(k) = row(outPerm(k)); k += 1 }
+          out
         }
       }
-    val cnt = result.count() // force the join: this is the computation phase
-    val t2 = System.nanoTime()
-    shuffled.unpersist(blocking = false)
-    (result, Timings((t1 - t0) / 1e9, (t2 - t1) / 1e9, cnt))
+    }
+    (result, new Timings(commSec, p.product, acc))
   }
 
   /** Convenience: optimizes shares for the given relations and budget, then

@@ -3,9 +3,10 @@ package repro.core.lftj
 /** Per-run statistics of a Leapfrog execution: `levelCounts(i)` is the number
   * of (i+1)-tuples materialized (|T^{i+1}| of the paper), `extensions` the
   * total number of partial-binding extensions performed, `cacheHits` the
-  * number of intersections answered from the cache.
+  * number of intersections answered from the cache. Serializable, so a
+  * task can return one hypercube's counters in its accumulator update.
   */
-final class LeapfrogStats(n: Int) {
+final class LeapfrogStats(n: Int) extends Serializable {
   val levelCounts: Array[Long] = new Array[Long](n)
   var extensions: Long          = 0L
   var cacheHits: Long           = 0L

@@ -1,19 +1,32 @@
 package repro.core.adj
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
+
 import repro.{Oracle, SparkSpec}
 import repro.baselines.SparkSqlJoin
-import repro.core.{SparkTestData, TestHelpers}
+import repro.core.{CubeEvaluations, SparkTestData, TestHelpers}
+import repro.core.exec.MultiwayJoin
+import repro.core.ghd.GHD
 import repro.core.hypergraph.QueryLibrary
 
 class AdjSpec extends SparkSpec {
 
   private val smallCfg = Adj.Config(samples = 60, cubeBudget = Some(8))
 
+  /** Drains `df` once and checks that the report counted the rows drained. */
+  private def drain(df: DataFrame, report: Adj.Report): Long = {
+    val n = df.count()
+    assert(report.resultCount == n, report.toString)
+    n
+  }
+
   test("co-optimized ADJ matches the oracle on every reported query") {
     val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 31)
     val gdf = SparkTestData.graphDf(spark, g)
     for ((name, q) <- QueryLibrary.reported) {
       val (df, report) = Adj.runOnGraph(spark, q, gdf, smallCfg)
+      drain(df, report)
       Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"), "e" -> gdf)
       assert(report.totalSec > 0, s"$name: $report")
     }
@@ -25,6 +38,7 @@ class AdjSpec extends SparkSpec {
     for ((name, q) <- QueryLibrary.reported) {
       val (df, report) = Adj.runOnGraph(spark, q, gdf,
         smallCfg.copy(strategy = Adj.CommunicationFirst))
+      drain(df, report)
       Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"), "e" -> gdf)
       assert(report.preComputingSec == 0.0, s"$name pre-computed under HCubeJ: $report")
       assert(report.plan.preCompute.isEmpty)
@@ -35,8 +49,9 @@ class AdjSpec extends SparkSpec {
     val g = TestHelpers.randomGraph(nodes = 14, edges = 36, seed = 33)
     val gdf = SparkTestData.graphDf(spark, g)
     for (q <- Seq(QueryLibrary.q2, QueryLibrary.q4)) {
-      val (df, _) = Adj.runOnGraph(spark, q, gdf,
+      val (df, report) = Adj.runOnGraph(spark, q, gdf,
         smallCfg.copy(strategy = Adj.CommunicationFirst, cacheSize = 100000))
+      drain(df, report)
       Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"), "e" -> gdf)
     }
   }
@@ -45,8 +60,9 @@ class AdjSpec extends SparkSpec {
     val g = TestHelpers.randomGraph(nodes = 10, edges = 18, seed = 34)
     val gdf = SparkTestData.graphDf(spark, g)
     for ((name, q) <- QueryLibrary.all if name.drop(1).toInt >= 7) {
-      val (a, _) = Adj.runOnGraph(spark, q, gdf, smallCfg)
-      val (b, _) = Adj.runOnGraph(spark, q, gdf, smallCfg.copy(strategy = Adj.CommunicationFirst))
+      val (a, ra) = Adj.runOnGraph(spark, q, gdf, smallCfg)
+      val (b, rb) = Adj.runOnGraph(spark, q, gdf, smallCfg.copy(strategy = Adj.CommunicationFirst))
+      assert(drain(a, ra) == drain(b, rb), name)
       assert(a.collect().map(_.toSeq).toSet == b.collect().map(_.toSeq).toSet, name)
     }
   }
@@ -55,7 +71,8 @@ class AdjSpec extends SparkSpec {
     val g = TestHelpers.skewedGraph(nodes = 40, edges = 120, seed = 35)
     val gdf = SparkTestData.graphDf(spark, g)
     for (q <- Seq(QueryLibrary.q1, QueryLibrary.q5)) {
-      val (df, _) = Adj.runOnGraph(spark, q, gdf, smallCfg)
+      val (df, report) = Adj.runOnGraph(spark, q, gdf, smallCfg)
+      drain(df, report)
       Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"), "e" -> gdf)
     }
   }
@@ -63,7 +80,8 @@ class AdjSpec extends SparkSpec {
   test("the report accounts for all pipeline stages") {
     val g = TestHelpers.randomGraph(nodes = 14, edges = 30, seed = 36)
     val gdf = SparkTestData.graphDf(spark, g)
-    val (_, report) = Adj.runOnGraph(spark, QueryLibrary.q4, gdf, smallCfg)
+    val (df, report) = Adj.runOnGraph(spark, QueryLibrary.q4, gdf, smallCfg)
+    drain(df, report)
     assert(report.optimizationSec > 0)
     assert(report.communicationSec > 0)
     assert(report.computationSec > 0)
@@ -77,15 +95,16 @@ class AdjSpec extends SparkSpec {
     val g = TestHelpers.randomGraph(nodes = 12, edges = 26, seed = 37)
     val gdf = SparkTestData.graphDf(spark, g)
     for (q <- Seq(QueryLibrary.q2, QueryLibrary.q4, QueryLibrary.q6)) {
-      val (_, report) = Adj.runOnGraph(spark, q, gdf, smallCfg)
+      val (df, report) = Adj.runOnGraph(spark, q, gdf, smallCfg)
+      drain(df, report)
       assert(report.plan.ord.sorted.toSeq == (0 until q.numAttrs))
     }
   }
 
   test("empty graph produces empty results without failure") {
     val gdf = SparkTestData.graphDf(spark, Seq.empty)
-    val (df, _) = Adj.runOnGraph(spark, QueryLibrary.q1, gdf, smallCfg)
-    assert(df.count() == 0)
+    val (df, report) = Adj.runOnGraph(spark, QueryLibrary.q1, gdf, smallCfg)
+    assert(drain(df, report) == 0)
   }
 
   test("run rejects mismatched data arity") {
@@ -93,5 +112,63 @@ class AdjSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       Adj.run(spark, QueryLibrary.q1, Vector(rdd), smallCfg)
     }
+  }
+
+  test("communication-first Adj.run leaves the join to the consumer, whose drain runs each cube once") {
+    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 38)
+    val q = QueryLibrary.q4
+    val data = Vector.fill(q.numAtoms)(spark.sparkContext.parallelize(g, 4))
+    CubeEvaluations.during(spark.sparkContext) { evals =>
+      val (result, report) = Adj.run(spark, q, data, smallCfg.copy(strategy = Adj.CommunicationFirst))
+      assert(evals.perJoin().isEmpty, "a cube was evaluated before the result was drained")
+      assert(report.resultCount == 0 && report.computationSec == 0.0)
+      val n = result.count()
+      val cubes = report.timings.numCubes
+      assert(evals.perJoin().values.toSeq == Seq((0 until cubes).map(_ -> 1).toMap))
+      assert(report.timings.drained && report.resultCount == n && report.computationSec > 0)
+    }
+  }
+
+  test("a pre-computed bag's sub-join is evaluated once") {
+    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 39)
+    val q = QueryLibrary.q6
+    val tree = GHD.decompose(q)
+    val v = tree.nodes.indexWhere(_.atomIdxs.length > 1)
+    assert(v >= 0, tree.toString)
+    val rs = SparkTestData.rels(spark, q, g)
+    CubeEvaluations.during(spark.sparkContext) { evals =>
+      val bag = Adj.precomputeBag(spark, q, rs, tree.nodes(v), v, budget = 8)
+      val Seq((bagJoin, bagCubes)) = evals.perJoin().toSeq
+      assert(bagCubes.values.forall(_ == 1), bagCubes)
+      assert(bag.rdd.count() == bag.size) // read from the persisted bag
+      // The final join over the bag: its shuffle reads the persisted bag, so
+      // neither the shuffle nor the drain evaluates the bag again.
+      val others = tree.nodes.indices.filter(_ != v).flatMap(u => tree.nodes(u).atomIdxs.map(rs))
+      val (result, t) = MultiwayJoin.execute(spark, bag +: others, (0 until q.numAttrs).toArray,
+        Array.tabulate(q.numAttrs)(a => if (a == 0) 2 else 1))
+      bag.rdd.unpersist(blocking = true)
+      assert(result.count() == t.resultCount)
+      val all = evals.perJoin()
+      assert(all.size == 2 && all(bagJoin) == bagCubes, all)
+    }
+  }
+
+  test("Adj.run releases the inputs it persisted and leaves cached ones alone") {
+    val sc = spark.sparkContext
+    val g = TestHelpers.randomGraph(nodes = 14, edges = 30, seed = 40)
+    val cached = sc.parallelize(g, 4).cache()
+    val fresh = sc.parallelize(g, 4)
+    val before = sc.getPersistentRDDs.keySet
+    for (strategy <- Seq(Adj.CoOptimization, Adj.CommunicationFirst)) {
+      val (result, _) = Adj.run(spark, QueryLibrary.q1, Vector(cached, fresh, fresh),
+        smallCfg.copy(strategy = strategy))
+      result.count()
+      // Entries can only disappear from the map (it holds RDDs weakly), so
+      // "no new id" is "the same persisted RDDs as before".
+      assert((sc.getPersistentRDDs.keySet -- before).isEmpty, s"$strategy left RDDs persisted")
+      assert(cached.getStorageLevel != StorageLevel.NONE, s"$strategy unpersisted the caller's RDD")
+      assert(fresh.getStorageLevel == StorageLevel.NONE)
+    }
+    cached.unpersist()
   }
 }

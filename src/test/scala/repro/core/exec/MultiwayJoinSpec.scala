@@ -4,17 +4,12 @@ import repro.{Oracle, SparkSpec}
 import repro.baselines.SparkSqlJoin
 import repro.core.{SparkTestData, TestHelpers}
 import repro.core.adj.Adj
-import repro.core.hcube.Rel
 import repro.core.hypergraph.QueryLibrary
 
 class MultiwayJoinSpec extends SparkSpec {
 
-  private def rels(q: repro.core.hypergraph.Hypergraph, g: Seq[Array[Long]]) = {
-    val rdd = spark.sparkContext.parallelize(g, 4)
-    q.atoms.indices.map { i =>
-      Rel(q.atoms(i).name, q.atoms(i).attrs.map(q.attrId), rdd, g.length.toLong)
-    }
-  }
+  private def rels(q: repro.core.hypergraph.Hypergraph, g: Seq[Array[Long]]) =
+    SparkTestData.rels(spark, q, g)
 
   test("one-round triangle join matches the DuckDB oracle") {
     val g = TestHelpers.randomGraph(nodes = 20, edges = 50, seed = 7)
@@ -79,5 +74,18 @@ class MultiwayJoinSpec extends SparkSpec {
     val (rdd, _) = MultiwayJoin.execute(
       spark, rels(q, clique ++ extra), (0 until 5).toArray, Array(2, 2, 1, 1, 1))
     assert(rdd.count() == 120L)
+  }
+
+  test("the result is lazy: timings read 0 until it is drained, and a second drain counts once") {
+    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 12)
+    val q = QueryLibrary.q1
+    val (rdd, t) = MultiwayJoin.execute(spark, rels(q, g), Array(0, 1, 2), Array(2, 2, 1))
+    assert(t.communicationSec > 0)
+    assert(t.cubes.isEmpty && !t.drained && t.resultCount == 0 && t.computationSec == 0.0)
+    val n = rdd.count()
+    assert(t.drained && t.cubes.keySet == (0 until 4).toSet)
+    assert(t.resultCount == n && t.computationSec > 0)
+    assert(t.cubes.values.map(_.leapfrog.extensions).sum >= n)
+    assert(rdd.count() == n && t.resultCount == n)
   }
 }
