@@ -17,7 +17,7 @@ object CostTableJob {
     val dataset = args.headOption.getOrElse("AS")
     val budget  = args.lift(1).map(_.toDouble).getOrElse(150.0)
     val samples = args.lift(2).map(_.toInt).getOrElse(400)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"adj-cost-table-$dataset")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -21,7 +21,7 @@ object RunQueryJob {
       case _            => Adj.CoOptimization
     }
     val budget = args.lift(3).map(_.toDouble).getOrElse(600.0)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"adj-${args(0)}-${args(1)}")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -12,7 +12,7 @@ import repro.bench.Harness
   */
 object TableIJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("adj-table1")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -7,7 +7,7 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.core.exec.MultiwayJoin
 import repro.core.ghd.{GHD, HyperNode}
-import repro.core.hcube.Rel
+import repro.core.hcube.{Rel, Shares}
 import repro.core.hypergraph.Hypergraph
 import repro.core.sampling.Sampler
 
@@ -20,25 +20,23 @@ object Adj {
     *
     *  - [[CoOptimization]]: the paper's contribution — GHD + sampling +
     *    Algorithm 2, possibly pre-computing hypertree bags.
-    *  - [[CommunicationFirst]]: HCubeJ [11] — minimize shuffled tuples only,
-    *    never pre-compute, pick the attribute order by a cheap degree
-    *    heuristic. With `cacheSize > 0` this is HCubeJ+Cache [28].
+    *  - [[CommunicationFirst]]: HCubeJ [11] — a fixed plan that minimizes
+    *    shuffled tuples only, never pre-computes, and takes the query's
+    *    textual attribute order.
+    *
+    * The strategy only decides the plan; both run it the same way.
     */
   sealed trait Strategy
   case object CoOptimization      extends Strategy
   case object CommunicationFirst  extends Strategy
 
-  /** @param samples      sampling budget per cardinality estimate
-    * @param cubeBudget   hypercubes for HCube (default: default parallelism)
-    * @param cacheSize    LFTJ intersection-cache entries (0 = off)
-    * @param memoryTuples per-server tuple budget for the shares program
+  /** @param samples    sampling budget per cardinality estimate
+    * @param cubeBudget hypercubes for HCube (default: default parallelism)
     */
   final case class Config(
       strategy: Strategy = CoOptimization,
       samples: Int = 500,
       cubeBudget: Option[Int] = None,
-      cacheSize: Int = 0,
-      memoryTuples: Option[Double] = None,
   )
 
   /** Per-stage wall-clock report matching the paper's Tables II–IV columns.
@@ -93,48 +91,93 @@ object Adj {
     }.toVector
 
     // The result reads only the final shuffle's output, so the inputs are
-    // no longer needed once the strategy returns.
-    try cfg.strategy match {
-      case CoOptimization     => runCoOptimized(spark, query, rels, budget, cfg)
-      case CommunicationFirst => runCommunicationFirst(spark, query, rels, budget, cfg)
+    // no longer needed once the final join has been set up.
+    try {
+      val tOpt0 = System.nanoTime()
+      val planned = cfg.strategy match {
+        case CoOptimization     => coOptimizedPlan(spark, query, rels, budget, cfg.samples)
+        case CommunicationFirst => communicationFirstPlan(query, rels, budget)
+      }
+      runPlan(spark, query, rels, budget, planned, tOpt0)
     } finally persisted.foreach(_.unpersist(blocking = false))
   }
 
-  private def runCoOptimized(
+  /** What planning decided.
+    *
+    * @param shares   the final join's shares
+    * @param nodes    the nodes whose atoms, or pre-computed bags, make up the
+    *                 final join, in order; `plan.preCompute` indexes them
+    * @param costNote the cost-model constants the plan was chosen with, as a
+    *                 suffix for the plan log line
+    */
+  private final case class Planned(plan: Plan, shares: Shares.Result, nodes: Vector[HyperNode], costNote: String)
+
+  private def coOptimizedPlan(
       spark: SparkSession,
       query: Hypergraph,
       rels: Vector[Rel],
       budget: Int,
-      cfg: Config,
-  ): (RDD[Array[Long]], Report) = {
-    val tOpt0   = System.nanoTime()
+      samples: Int,
+  ): Planned = {
     val tree    = GHD.decompose(query)
     Console.err.println(s"[adj] tree: $tree")
-    val sampler = new Sampler(spark, rels, samples = cfg.samples)
+    val sampler = new Sampler(spark, rels, samples = samples)
     val model   = new CostModel(spark, query, tree, sampler, rels.map(_.size),
-      numServers = budget, cubeBudget = budget, memoryTuples = cfg.memoryTuples)
+      numServers = budget, cubeBudget = budget)
     model.alpha; model.betaPre // force calibration inside the optimization phase
     val plan    = new Optimizer(model).optimize()
-    val finalShares = model.shares(plan.preCompute)
-    val optSec  = (System.nanoTime() - tOpt0) / 1e9
-    Console.err.println(f"[adj] plan: $plan shares=$finalShares optSec=$optSec%.1f " +
-      f"alpha=${model.alpha}%.3g betaRaw=${model.betaRaw}%.3g betaPre=${model.betaPre}%.3g")
+    Planned(plan, model.shares(plan.preCompute), tree.nodes,
+      f" alpha=${model.alpha}%.3g betaRaw=${model.betaRaw}%.3g betaPre=${model.betaPre}%.3g")
+  }
+
+  /** HCubeJ's fixed plan over the trivial decomposition (one node per atom):
+    * shares that minimize the shuffled raw tuples, nothing pre-computed.
+    *
+    * HCubeJ selects its attribute order from ALL n! orders using sketch-style
+    * statistics that are computation-oblivious and unreliable on cyclic
+    * joins (this paper's Sec. IV, Fig. 8: "All-Selected" tracks the worst
+    * valid order). We model that with the query's textual attribute order —
+    * for Q4–Q6 an *invalid* order w.r.t. the hypertree, which defers chord
+    * constraints and inflates the intermediate T^i exactly as Fig. 8 shows.
+    */
+  private def communicationFirstPlan(query: Hypergraph, rels: Vector[Rel], budget: Int): Planned = {
+    val shares = Shares.optimize(rels.map(r => (r.attrs.toSet, r.size)), query.numAttrs, budget)
+    val nodes  = query.edges.indices.map(i => HyperNode(Vector(i), query.edges(i), 1.0)).toVector
+    Planned(Plan(Set.empty, Vector.empty, (0 until query.numAttrs).toArray, 0.0), shares, nodes, "")
+  }
+
+  /** Runs a plan for either strategy: pre-computes the bags of
+    * `plan.preCompute`, then sets up the one-round join over the nodes' bags
+    * or atoms, in node order. The optimization phase ends here; it began at
+    * `tOpt0`.
+    */
+  private def runPlan(
+      spark: SparkSession,
+      query: Hypergraph,
+      rels: Vector[Rel],
+      budget: Int,
+      planned: Planned,
+      tOpt0: Long,
+  ): (RDD[Array[Long]], Report) = {
+    val Planned(plan, shares, nodes, costNote) = planned
+    val optSec = (System.nanoTime() - tOpt0) / 1e9
+    Console.err.println(f"[adj] plan: $plan shares=$shares optSec=$optSec%.1f" + costNote)
 
     val tPre0 = System.nanoTime()
     val bags  = collection.mutable.ArrayBuffer.empty[Rel]
-    val finalRels = tree.nodes.indices.flatMap { v =>
-      val node = tree.nodes(v)
+    val finalRels = nodes.indices.flatMap { v =>
+      val node = nodes(v)
       if (plan.preCompute.contains(v) && node.atomIdxs.length > 1) {
         bags += precomputeBag(spark, query, rels, node, v, budget)
         Seq(bags.last)
       } else node.atomIdxs.map(rels)
     }
-    val preSec = (System.nanoTime() - tPre0) / 1e9
+    val preSec = if (bags.isEmpty) 0.0 else (System.nanoTime() - tPre0) / 1e9
 
     val (result, t) =
-      try MultiwayJoin.execute(spark, finalRels, plan.ord, finalShares.p, cfg.cacheSize)
+      try MultiwayJoin.execute(spark, finalRels, plan.ord, shares.p)
       finally bags.foreach(_.rdd.unpersist(blocking = false))
-    (result, Report(optSec, preSec, plan, finalShares.shuffledTuples, t))
+    (result, Report(optSec, preSec, plan, shares.shuffledTuples, t))
   }
 
   /** Pre-computes the bag of hypertree node `v` with the one-round executor
@@ -160,29 +203,6 @@ object Adj {
     Console.err.println(s"[adj] precomputed bag$v: $size tuples " +
       f"(comm=${t.communicationSec}%.1fs comp=${t.computationSec}%.1fs)")
     Rel(s"bag$v", node.attrs.toVector.sorted, rdd, size)
-  }
-
-  private def runCommunicationFirst(
-      spark: SparkSession,
-      query: Hypergraph,
-      rels: Vector[Rel],
-      budget: Int,
-      cfg: Config,
-  ): (RDD[Array[Long]], Report) = {
-    val tOpt0 = System.nanoTime()
-    val shares = repro.core.hcube.Shares.optimize(
-      rels.map(r => (r.attrs.toSet, r.size)), query.numAttrs, budget, cfg.memoryTuples)
-    // HCubeJ selects its attribute order from ALL n! orders using sketch-style
-    // statistics that are computation-oblivious and unreliable on cyclic
-    // joins (this paper's Sec. IV, Fig. 8: "All-Selected" tracks the worst
-    // valid order). We model that with the query's textual attribute order —
-    // for Q4–Q6 an *invalid* order w.r.t. the hypertree, which defers chord
-    // constraints and inflates the intermediate T^i exactly as Fig. 8 shows.
-    val ord = (0 until query.numAttrs).toArray
-    val optSec = (System.nanoTime() - tOpt0) / 1e9
-    val (result, t) = MultiwayJoin.execute(spark, rels, ord, shares.p, cfg.cacheSize)
-    val plan = Plan(Set.empty, Vector.empty, ord, 0.0)
-    (result, Report(optSec, 0.0, plan, shares.shuffledTuples, t))
   }
 
   // ---------------------------------------------------------------- adapters

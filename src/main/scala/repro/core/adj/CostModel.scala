@@ -1,5 +1,6 @@
 package repro.core.adj
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.SparkSession
 
 import repro.core.ghd.HyperTree
@@ -18,7 +19,6 @@ import repro.core.sampling.Sampler
   * @param relSizes     tuple count per query atom
   * @param numServers   N* — parallel workers (here: Spark cores)
   * @param cubeBudget   P — hypercubes available to the shares optimizer
-  * @param memoryTuples per-server tuple budget for the shares program
   */
 final class CostModel(
     spark: SparkSession,
@@ -28,7 +28,6 @@ final class CostModel(
     relSizes: IndexedSeq[Long],
     val numServers: Int,
     val cubeBudget: Int,
-    memoryTuples: Option[Double] = None,
 ) {
 
   lazy val alpha: Double  = CostModel.measuredAlpha(spark)
@@ -51,7 +50,7 @@ final class CostModel(
 
   /** Optimal shares for the rewritten query. */
   def shares(c: Set[Int]): Shares.Result =
-    Shares.optimize(rewrittenRels(c), query.numAttrs, cubeBudget, memoryTuples)
+    Shares.optimize(rewrittenRels(c), query.numAttrs, cubeBudget)
 
   /** cost_C(C): seconds to shuffle the rewritten query's input. */
   def costC(c: Set[Int]): Double = shares(c).shuffledTuples / alpha
@@ -80,7 +79,7 @@ final class CostModel(
     val node = tree.nodes(v)
     if (node.atomIdxs.length == 1) return 0.0 // nothing to pre-compute
     val rels  = node.atomIdxs.map(i => (query.edges(i), relSizes(i)))
-    val sh    = Shares.optimize(rels, query.numAttrs, cubeBudget, memoryTuples)
+    val sh    = Shares.optimize(rels, query.numAttrs, cubeBudget)
     val comm  = sh.shuffledTuples / alpha
     val comp  = (rels.map(_._2.toDouble).sum + bagSize(v)) / (betaRaw * numServers)
     comm + comp
@@ -102,7 +101,7 @@ object CostModel {
     val rdd   = sc.range(0L, k, numSlices = parts)
       .map(i => (HCube.hash(i, parts), Array(i, i + 1)))
     val t0 = System.nanoTime()
-    rdd.partitionBy(HCube.calibrationPartitioner(parts)).count()
+    rdd.partitionBy(new HashPartitioner(parts)).count()
     val sec = (System.nanoTime() - t0) / 1e9
     alphaCache = k / math.max(sec, 1e-6)
     alphaCache

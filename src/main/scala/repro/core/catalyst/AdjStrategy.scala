@@ -117,6 +117,11 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
     val classOf     = allAttrs.indices.map { i =>
       classOfRoot.getOrElseUpdate(find(i), classOfRoot.size)
     }
+    // The executor carries no NULLs: it drops input rows with a NULL key,
+    // which never joins, but a NULL in a column that joins nothing must
+    // reach the output, so such a nullable column is left to the default
+    // planner.
+    if (allAttrs.indices.exists(i => allAttrs(i).nullable && classOf.count(_ == classOf(i)) == 1)) return None
     // A leaf binding the same class twice is a within-relation selection the
     // hypergraph cannot express — bail to the default planner.
     var off   = 0
@@ -148,8 +153,10 @@ final case class AdjJoinExec(
 
   override protected def doExecute(): RDD[InternalRow] = {
     val spark = SparkSession.active
+    // Every nullable input column is a join key (see AdjStrategy), and a
+    // NULL key matches nothing, so a row with a NULL adds nothing to the result.
     val data = children.toVector.map { child =>
-      child.execute().map { row =>
+      child.execute().filter(!_.anyNull).map { row =>
         val arr = new Array[Long](row.numFields)
         var i = 0
         while (i < arr.length) { arr(i) = row.getLong(i); i += 1 }

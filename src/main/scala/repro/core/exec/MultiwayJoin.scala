@@ -81,7 +81,6 @@ object MultiwayJoin {
     * @param rels       input relations (global attribute ids per column)
     * @param ord        Leapfrog attribute order over exactly the attrs used
     * @param p          HCube share vector indexed by attribute id
-    * @param cacheSize  > 0 enables the CacheTrieJoin intersection cache
     * @return (result RDD of tuples in attribute-id order, timings); the
     *         shuffle has run, the join has not: it runs when the result is
     *         drained, and again on every further drain
@@ -91,7 +90,6 @@ object MultiwayJoin {
       rels: Seq[Rel],
       ord: Array[Int],
       p: Array[Int],
-      cacheSize: Int = 0,
   ): (RDD[Array[Long]], Timings) = {
     val lvl   = levelOf(ord)
     val n     = ord.length
@@ -117,7 +115,7 @@ object MultiwayJoin {
         if (perRel.exists(_.isEmpty)) Iterator.empty
         else {
           val tries = relAttrs.indices.map(ri => TrieRelation.build(relAttrs(ri), lvl, perRel(ri)))
-          new Leapfrog(tries, n, cacheSize = cacheSize, stats = stats)
+          new Leapfrog(tries, n, stats = stats)
         }
       new Iterator[Array[Long]] {
         private var open = true
@@ -151,10 +149,9 @@ object MultiwayJoin {
       ord: Array[Int],
       numAttrs: Int,
       cubeBudget: Int,
-      cacheSize: Int = 0,
   ): (RDD[Array[Long]], Timings, Array[Int]) = {
     val shares = Shares.optimize(rels.map(r => (r.attrs.toSet, r.size)), numAttrs, cubeBudget)
-    val (rdd, t) = execute(spark, rels, ord, shares.p, cacheSize)
+    val (rdd, t) = execute(spark, rels, ord, shares.p)
     (rdd, t, shares.p)
   }
 }

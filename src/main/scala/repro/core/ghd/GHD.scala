@@ -42,19 +42,6 @@ final case class HyperTree(query: Hypergraph, nodes: Vector[HyperNode], edges: S
     seen.size == keep.size
   }
 
-  /** Valid traversal orders of all hypernodes: every prefix must induce a
-    * connected subtree, so hypernodes are visited along the tree.
-    */
-  def validTraversalOrders: Seq[Vector[Int]] = {
-    def extend(prefix: Vector[Int], rest: Set[Int]): Seq[Vector[Int]] =
-      if (rest.isEmpty) Seq(prefix)
-      else rest.toSeq.flatMap { v =>
-        val ok = prefix.isEmpty || neighbors(v).exists(prefix.contains)
-        if (ok) extend(prefix :+ v, rest - v) else Seq.empty
-      }
-    extend(Vector.empty, nodes.indices.toSet)
-  }
-
   override def toString: String =
     nodes.zipWithIndex.map { case (n, i) =>
       s"v$i{${n.atomIdxs.map(query.atoms(_).name).mkString(",")}; " +

@@ -1,6 +1,6 @@
 package repro.core.hcube
 
-import org.apache.spark.{HashPartitioner, Partitioner}
+import org.apache.spark.Partitioner
 import org.apache.spark.rdd.RDD
 
 /** A relation participating in a one-round join: positional Long tuples plus
@@ -56,20 +56,6 @@ object HCube {
     ids
   }
 
-  /** Tuple-wise ("Push") shuffle: one shuffle record per (cube, tuple) copy.
-    * Returns an RDD keyed by cube id with exactly `Π p` partitions, carrying
-    * (relation index, tuple).
-    */
-  def shufflePush(rels: Seq[Rel], p: Array[Int]): RDD[(Int, (Int, Array[Long]))] = {
-    val cubes = p.product
-    val rdds = rels.zipWithIndex.map { case (rel, ri) =>
-      val attrs = rel.attrs
-      val pb    = p // serialized into the closure
-      rel.rdd.flatMap(t => cubesFor(attrs, t, pb).map(c => (c, (ri, t))))
-    }
-    rdds.reduce(_ union _).partitionBy(new CubePartitioner(cubes))
-  }
-
   /** Block-wise ("Pull") shuffle (Sec. V): tuples of one relation headed for
     * one cube are grouped into a single block before crossing the wire, so
     * the shuffle moves O(#blocks) records instead of O(#tuple copies).
@@ -93,7 +79,4 @@ object HCube {
     }
     rdds.reduce(_ union _).partitionBy(new CubePartitioner(cubes))
   }
-
-  /** Round-robin repartitioner used by the α-calibration harness. */
-  def calibrationPartitioner(parts: Int): Partitioner = new HashPartitioner(parts)
 }

@@ -35,35 +35,6 @@ final case class Hypergraph(atoms: Vector[Atom]) {
   def atomsWith(a: Int): Vector[Int] =
     edges.zipWithIndex.collect { case (e, i) if e.contains(a) => i }
 
-  /** The sub-hypergraph induced by a subset of atoms (attribute ids are
-    * re-derived from the surviving atoms).
-    */
-  def restrictToAtoms(atomIdxs: Seq[Int]): Hypergraph =
-    Hypergraph(atomIdxs.toVector.map(atoms))
-
-  /** True iff the attribute-intersection graph over the given edge sets is
-    * connected (used by the optimizer's valid-traversal-order pruning).
-    */
-  def connected(edgeSets: Seq[Set[Int]]): Boolean = {
-    if (edgeSets.isEmpty) return true
-    val n       = edgeSets.length
-    val seen    = Array.fill(n)(false)
-    val stack   = collection.mutable.Stack(0)
-    seen(0) = true
-    var count = 1
-    while (stack.nonEmpty) {
-      val i = stack.pop()
-      var j = 0
-      while (j < n) {
-        if (!seen(j) && edgeSets(i).intersect(edgeSets(j)).nonEmpty) {
-          seen(j) = true; count += 1; stack.push(j)
-        }
-        j += 1
-      }
-    }
-    count == n
-  }
-
   override def toString: String = atoms.mkString(" ⋈ ")
 }
 

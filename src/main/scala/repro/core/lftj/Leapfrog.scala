@@ -2,14 +2,12 @@ package repro.core.lftj
 
 /** Per-run statistics of a Leapfrog execution: `levelCounts(i)` is the number
   * of (i+1)-tuples materialized (|T^{i+1}| of the paper), `extensions` the
-  * total number of partial-binding extensions performed, `cacheHits` the
-  * number of intersections answered from the cache. Serializable, so a
+  * total number of partial-binding extensions performed. Serializable, so a
   * task can return one hypercube's counters in its accumulator update.
   */
 final class LeapfrogStats(n: Int) extends Serializable {
   val levelCounts: Array[Long] = new Array[Long](n)
   var extensions: Long          = 0L
-  var cacheHits: Long           = 0L
 }
 
 /** Leapfrog triejoin (Veldhuizen [14]) over trie relations, as an iterator.
@@ -22,17 +20,12 @@ final class LeapfrogStats(n: Int) extends Serializable {
   * @param numLevels   |attrs(Q)| — the number of global levels
   * @param firstFixed  if set, only bindings whose level-0 value equals this
   *                    are produced (used by the sampling estimator)
-  * @param cacheSize   > 0 enables the CacheTrieJoin-style intersection cache
-  *                    [28]: the candidate list at level i is memoized on the
-  *                    bindings of the earlier levels that co-occur with level
-  *                    i in some relation
   * @param stats       counters filled in during iteration
   */
 final class Leapfrog(
     rels: IndexedSeq[TrieRelation],
     numLevels: Int,
     firstFixed: Option[Long] = None,
-    cacheSize: Int = 0,
     val stats: LeapfrogStats = null,
 ) extends Iterator[Array[Long]] {
 
@@ -51,15 +44,6 @@ final class Leapfrog(
   private val lo = rels.map(r => new Array[Int](r.arity + 1)).toArray
   private val hi = rels.map(r => new Array[Int](r.arity + 1)).toArray
   rels.indices.foreach { r => lo(r)(0) = 0; hi(r)(0) = rels(r).size }
-
-  // Cache: level -> "relevant earlier levels" (levels j<i co-occurring with
-  // level i in some participant), used as the memoization key.
-  private val relevant: Array[Array[Int]] = Array.tabulate(numLevels) { lvl =>
-    partRel(lvl).flatMap(r => rels(r).levels.filter(_ < lvl)).distinct.sorted
-  }
-  private val cache: Array[collection.mutable.HashMap[Vector[Long], Array[Long]]] =
-    if (cacheSize > 0) Array.fill(numLevels)(collection.mutable.HashMap.empty) else null
-  private var cached = 0
 
   private val binding    = new Array[Long](numLevels)
   private val candidates = new Array[Array[Long]](numLevels)
@@ -88,21 +72,9 @@ final class Leapfrog(
     * `lvl`, given the current ranges.
     */
   private def intersectAt(lvl: Int): Array[Long] = {
-    val rs   = partRel(lvl)
-    val cs   = partCol(lvl)
-    val k    = rs.length
-    if (cache != null) {
-      val key = relevant(lvl).map(binding(_)).toVector
-      val hit = cache(lvl).get(key)
-      if (hit.isDefined) { st.cacheHits += 1; return hit.get }
-      val res = intersectRaw(rs, cs, k)
-      if (cached < cacheSize) { cache(lvl).put(key, res); cached += 1 }
-      return res
-    }
-    intersectRaw(rs, cs, k)
-  }
-
-  private def intersectRaw(rs: Array[Int], cs: Array[Int], k: Int): Array[Long] = {
+    val rs = partRel(lvl)
+    val cs = partCol(lvl)
+    val k  = rs.length
     if (k == 1) {
       val r = rels(rs(0)); val d = cs(0)
       return r.distinctValues(d, lo(rs(0))(d), hi(rs(0))(d))
@@ -172,7 +144,7 @@ final class Leapfrog(
       if ((steps & 0xFFFFFL) == 0L && Thread.currentThread().isInterrupted)
         throw new RuntimeException("leapfrog interrupted (job cancelled)")
       if (candIdx(level) < candidates(level).length) {
-        var v = candidates(level)(candIdx(level))
+        val v = candidates(level)(candIdx(level))
         candIdx(level) += 1
         if (level == 0 && firstFixed.exists(_ != v)) {
           // Skip non-matching roots when sampling with a fixed first value.

@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.hcube.Rel
 import repro.core.lftj.{Leapfrog, LeapfrogStats, TrieRelation}
+import repro.core.sampling.Sampler.Estimate
 
 /** Sampling-based cardinality estimation (Sec. IV).
   *
@@ -36,13 +37,6 @@ final class Sampler(
     seed: Long = 42L,
     maxExtensionsPerSample: Long = 200000L,
 ) {
-
-  /** @param card    estimated cardinality of the (projected) join
-    * @param valA    |val(A)| for the anchor attribute
-    * @param anchor  the anchor attribute id
-    * @param wallSec wall time of this estimate
-    */
-  final case class Estimate(card: Double, valA: Long, anchor: Int, wallSec: Double)
 
   private val memo = collection.mutable.Map.empty[(Set[Int], Vector[Int]), Estimate]
 
@@ -169,4 +163,14 @@ final class Sampler(
     wallSecTotal += sec
     Estimate(card, valCount, anchor, sec)
   }
+}
+
+object Sampler {
+
+  /** @param card    estimated cardinality of the (projected) join
+    * @param valA    |val(A)| for the anchor attribute
+    * @param anchor  the anchor attribute id
+    * @param wallSec wall time of this estimate
+    */
+  final case class Estimate(card: Double, valA: Long, anchor: Int, wallSec: Double)
 }

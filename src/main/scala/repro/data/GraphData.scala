@@ -1,7 +1,6 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 /** Synthetic stand-ins for the paper's six SNAP/LAW graphs (Table I).
@@ -89,25 +88,6 @@ object GraphData {
       u += 1
     }
     edges.result()
-  }
-
-  /** Legacy Zipf-endpoint generator (kept for skew-specific tests): draws
-    * `rawEdges` directed pairs with Zipf-ish endpoints, removes self-loops,
-    * symmetrizes, deduplicates.
-    */
-  def graph(spark: SparkSession, rawEdges: Long, nodes: Long,
-            alpha: Double, seed: Long): DataFrame = {
-    def zipfCol(s: Long) =
-      least(lit(nodes),
-        greatest(lit(1L),
-          pow(lit(1.0) / (rand(s) + 1e-12), lit(1.0 / alpha)).cast(LongType)))
-    val directed = spark.range(rawEdges).select(
-      zipfCol(seed)     as "src",
-      zipfCol(seed + 1) as "dst",
-    ).where(col("src") =!= col("dst"))
-    directed
-      .union(directed.select(col("dst") as "src", col("src") as "dst"))
-      .distinct()
   }
 
   /** Estimated on-disk size in MB assuming two 8-byte columns, mirroring the

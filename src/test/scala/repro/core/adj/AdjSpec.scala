@@ -1,5 +1,11 @@
 package repro.core.adj
 
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 
@@ -8,6 +14,7 @@ import repro.baselines.SparkSqlJoin
 import repro.core.{CubeEvaluations, SparkTestData, TestHelpers}
 import repro.core.exec.MultiwayJoin
 import repro.core.ghd.GHD
+import repro.core.hcube.Shares
 import repro.core.hypergraph.QueryLibrary
 
 class AdjSpec extends SparkSpec {
@@ -45,15 +52,34 @@ class AdjSpec extends SparkSpec {
     }
   }
 
-  test("HCubeJ+Cache variant matches the oracle") {
-    val g = TestHelpers.randomGraph(nodes = 14, edges = 36, seed = 33)
-    val gdf = SparkTestData.graphDf(spark, g)
-    for (q <- Seq(QueryLibrary.q2, QueryLibrary.q4)) {
-      val (df, report) = Adj.runOnGraph(spark, q, gdf,
-        smallCfg.copy(strategy = Adj.CommunicationFirst, cacheSize = 100000))
-      drain(df, report)
-      Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"), "e" -> gdf)
+  test("communication-first runs a fixed plan without sampling or pre-computing") {
+    val sc = spark.sparkContext
+    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 41)
+    val q = QueryLibrary.q4
+    val edges = sc.parallelize(g, 4)
+    val data = Vector.fill(q.numAtoms)(edges)
+    val jobs = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      // The result stage's name is the job's call site, e.g. "count at …".
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        jobs.add(e.stageInfos.maxBy(_.stageId).name)
     }
+    TestListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    val (result, report) =
+      try Adj.run(spark, q, data, smallCfg.copy(strategy = Adj.CommunicationFirst))
+      finally { TestListenerBus.drain(sc); sc.removeSparkListener(listener) }
+    // Only the input count and the final shuffle's map side ran.
+    assert(jobs.asScala.toSeq.map(_.takeWhile(_ != ' ')) == Seq("count", "foreachPartition"), jobs)
+    val plan = report.plan
+    assert(plan.preCompute == Set.empty[Int])
+    assert(plan.traversal == Vector.empty[Int])
+    assert(plan.ord.toSeq == (0 until 5))
+    assert(plan.estimatedSec == 0.0)
+    val shares = Shares.optimize(q.edges.map(e => (e, g.length.toLong)), q.numAttrs, budget = 8)
+    assert(report.shuffledTuples == shares.shuffledTuples)
+    assert(report.timings.numCubes == shares.p.product)
+    assert(result.count() == report.resultCount)
   }
 
   test("both strategies agree on the easy queries Q7-Q11") {
@@ -165,7 +191,7 @@ class AdjSpec extends SparkSpec {
       result.count()
       // Entries can only disappear from the map (it holds RDDs weakly), so
       // "no new id" is "the same persisted RDDs as before".
-      assert((sc.getPersistentRDDs.keySet -- before).isEmpty, s"$strategy left RDDs persisted")
+      assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty, s"$strategy left RDDs persisted")
       assert(cached.getStorageLevel != StorageLevel.NONE, s"$strategy unpersisted the caller's RDD")
       assert(fresh.getStorageLevel == StorageLevel.NONE)
     }

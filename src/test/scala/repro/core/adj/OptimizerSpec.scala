@@ -85,10 +85,10 @@ class OptimizerSpec extends SparkSpec {
 
   test("attributeOrder puts higher-degree attributes first within a node") {
     val (q, tree, opt) = optimizerFor("Q5")
-    val anyTraversal = tree.validTraversalOrders.head
-    val ord = opt.attributeOrder(anyTraversal)
+    val traversal = opt.optimize().traversal
+    val ord = opt.attributeOrder(traversal)
     // Within the first node, degrees must be non-increasing.
-    val firstAttrs = tree.nodes(anyTraversal.head).attrs
+    val firstAttrs = tree.nodes(traversal.head).attrs
     val prefix = ord.takeWhile(firstAttrs.contains)
     val degs = prefix.map(a => q.atomsWith(a).length).toSeq
     assert(degs == degs.sortBy(-(_: Int)), s"degrees $degs not non-increasing")

@@ -1,6 +1,7 @@
 package repro.core.catalyst
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Row, SparkSession}
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 import repro.{Oracle, SparkSpec}
 import repro.baselines.SparkSqlJoin
@@ -81,5 +82,37 @@ class AdjStrategySpec extends SparkSpec {
       val df = adjSession.sql(SparkSqlJoin.sql(QueryLibrary.q1, "edges_cat7"))
       Oracle.assertEquivalent(df, SparkSqlJoin.sql(QueryLibrary.q1, "e"), "e" -> gdf)
     } finally adjSession.conf.set("spark.repro.adj.strategy", "co-optimization")
+  }
+
+  test("NULL join keys match nothing, also without inferred IsNotNull filters") {
+    // A triangle over 0, 1, 2, plus the edge 1-3 and an edge from 3 to NULL.
+    // Read as 0, the NULL would close a second triangle 0-1-3.
+    val edges = Seq((0L, 1L), (1L, 2L), (2L, 0L), (1L, 3L)).flatMap { case (u, v) => Seq(Row(u, v), Row(v, u)) }
+    val schema = StructType(Seq(StructField("src", LongType), StructField("dst", LongType)))
+    val gdf = adjSession.createDataFrame(
+      adjSession.sparkContext.parallelize(edges ++ Seq(Row(null, 3L), Row(3L, null)), 2), schema)
+    gdf.createOrReplaceTempView("edges_null")
+    adjSession.conf.set("spark.sql.optimizer.excludedRules",
+      "org.apache.spark.sql.catalyst.optimizer.InferFiltersFromConstraints")
+    try {
+      val df = adjSession.sql(SparkSqlJoin.sql(QueryLibrary.q1, "edges_null"))
+      assert(planString(df).contains("AdjJoin"), planString(df))
+      Oracle.assertEquivalent(df, SparkSqlJoin.sql(QueryLibrary.q1, "e"), "e" -> gdf)
+    } finally adjSession.conf.unset("spark.sql.optimizer.excludedRules")
+  }
+
+  test("a nullable column that joins nothing is left to the default planner") {
+    val g = TestHelpers.randomGraph(nodes = 12, edges = 26, seed = 68)
+    val gdf = SparkTestData.graphDf(adjSession, g)
+    gdf.createOrReplaceTempView("edges_cat8")
+    val tagged = adjSession.sql(
+      "SELECT src, dst, CASE WHEN src < dst THEN src END AS w FROM edges_cat8")
+    tagged.createOrReplaceTempView("tagged_cat8")
+    def sql(t: String, e: String) =
+      s"SELECT t.src AS a, t.dst AS b, e1.dst AS c, t.w AS w FROM $t t, $e e1, $e e2 " +
+        "WHERE t.dst = e1.src AND e1.dst = e2.dst AND t.src = e2.src"
+    val df = adjSession.sql(sql("tagged_cat8", "edges_cat8"))
+    assert(!planString(df).contains("AdjJoin"), planString(df))
+    Oracle.assertEquivalent(df, sql("t", "e"), "t" -> tagged, "e" -> gdf)
   }
 }

@@ -43,15 +43,6 @@ class MultiwayJoinSpec extends SparkSpec {
       "e" -> SparkTestData.graphDf(spark, g))
   }
 
-  test("cache-enabled execution returns the same rows") {
-    val g = TestHelpers.randomGraph(nodes = 15, edges = 45, seed = 10)
-    val q = QueryLibrary.q1
-    val (plain, _)  = MultiwayJoin.execute(spark, rels(q, g), Array(0, 1, 2), Array(2, 2, 1))
-    val (cached, _) = MultiwayJoin.execute(spark, rels(q, g), Array(0, 1, 2), Array(2, 2, 1),
-      cacheSize = 100000)
-    assert(plain.map(_.toVector).collect().toSet == cached.map(_.toVector).collect().toSet)
-  }
-
   test("single-cube execution (p all ones) equals the local naive join") {
     val g = TestHelpers.randomGraph(nodes = 10, edges = 24, seed = 11)
     val q = QueryLibrary.q1

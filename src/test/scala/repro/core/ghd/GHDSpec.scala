@@ -87,31 +87,6 @@ class GHDSpec extends AnyFunSuite {
     assert(t.nodes.length == 1 && t.edges.isEmpty)
   }
 
-  test("valid traversal orders of a path hypertree respect connectivity") {
-    val q = QueryLibrary.q4
-    val t = GHD.decompose(q)
-    val orders = t.validTraversalOrders
-    assert(orders.nonEmpty)
-    orders.foreach { o =>
-      o.indices.foreach { i =>
-        assert(t.inducesConnectedSubtree(o.take(i + 1).toSet), s"order $o prefix $i")
-      }
-    }
-  }
-
-  test("valid traversal order count matches tree structure for 3-node path") {
-    val q = Hypergraph(Vector(
-      Atom("R1", Vector("a", "b", "c")),
-      Atom("R2", Vector("a", "d")),
-      Atom("R3", Vector("c", "d")),
-      Atom("R4", Vector("b", "e")),
-      Atom("R5", Vector("c", "e")),
-    ))
-    val t = GHD.decompose(q)
-    // A path u - v - w admits 4 connected traversals: uvw, wvu, vuw, vwu.
-    assert(t.validTraversalOrders.length == 4)
-  }
-
   test("inducesConnectedSubtree on singleton and empty sets") {
     val t = GHD.decompose(QueryLibrary.q4)
     assert(t.inducesConnectedSubtree(Set.empty))

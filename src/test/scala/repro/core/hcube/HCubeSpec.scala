@@ -48,43 +48,45 @@ class HCubeSpec extends SparkSpec {
     assert(ct.intersect(cs).size == 1)
   }
 
-  test("push shuffle partitions every copy to its cube id") {
+  /** The (cube, relation index, tuple) copies a Pull shuffle delivers. */
+  private def copies(out: org.apache.spark.rdd.RDD[(Int, (Int, Array[Array[Long]]))]) =
+    out.flatMap { case (c, (ri, block)) => block.map(t => (c, ri, t.toVector)) }.collect()
+
+  test("pull shuffle partitions every block to its cube id") {
     val sc = spark.sparkContext
     val g  = TestHelpers.randomGraph(10, 20, 1)
     val rel = Rel("R", Vector(0, 1), sc.parallelize(g, 3), g.length.toLong)
     val p = Array(2, 2)
-    val out = HCube.shufflePush(Seq(rel), p)
+    val out = HCube.shufflePull(Seq(rel), p)
     assert(out.getNumPartitions == 4)
     val ok = out.mapPartitionsWithIndex { (pid, it) =>
       Iterator.single(it.forall(_._1 == pid))
     }.collect()
     assert(ok.forall(identity))
     // Every tuple lands in exactly dup(R,p)=1 cube (both attrs bound).
-    assert(out.count() == g.length.toLong)
+    assert(copies(out).length == g.length)
   }
 
-  test("pull shuffle carries the same tuples as push, in blocks") {
+  test("pull shuffle carries exactly the copies cubesFor assigns, in blocks") {
     val sc = spark.sparkContext
     val g  = TestHelpers.randomGraph(12, 30, 2)
     val rel = Rel("R", Vector(0, 1), sc.parallelize(g, 3), g.length.toLong)
     val p = Array(2, 1)
-    val push = HCube.shufflePush(Seq(rel), p)
-      .map { case (c, (ri, t)) => (c, ri, t.toVector) }.collect().toSet
-    val pull = HCube.shufflePull(Seq(rel), p)
-      .flatMap { case (c, (ri, block)) => block.map(t => (c, ri, t.toVector)) }
-      .collect().toSet
-    assert(push == pull)
-    // Pull moves fewer shuffle records than push when blocks batch tuples.
-    val pushRecords = HCube.shufflePush(Seq(rel), p).count()
-    val pullRecords = HCube.shufflePull(Seq(rel), p).count()
-    assert(pullRecords <= pushRecords)
+    val expected = g.flatMap(t => HCube.cubesFor(rel.attrs, t, p).map(c => (c, 0, t.toVector)))
+    val out = HCube.shufflePull(Seq(rel), p)
+    val got = copies(out)
+    assert(got.length == expected.length && got.toSet == expected.toSet)
+    // Blocks batch tuples: no more shuffle records than tuple copies.
+    assert(out.count() <= got.length)
   }
 
   test("unary relation is replicated across the free dimension") {
     val sc  = spark.sparkContext
     val rel = Rel("S", Vector(0), sc.parallelize(Seq(Array(1L), Array(2L)), 1), 2L)
     val p = Array(1, 3) // attr 1 free → every tuple goes to 3 cubes
-    assert(HCube.shufflePush(Seq(rel), p).count() == 6L)
+    val got = copies(HCube.shufflePull(Seq(rel), p))
+    assert(got.length == 6)
+    assert(got.toSet == (for (c <- 0 until 3; v <- Seq(1L, 2L)) yield (c, 0, Vector(v))).toSet)
   }
 
   test("two relations meet in the right cubes (joinability preserved)") {
@@ -96,14 +98,12 @@ class HCubeSpec extends SparkSpec {
       Rel("S", Vector(1, 2), sc.parallelize(s, 1), 2L),
     )
     val p = Array(2, 2, 2)
-    val perCube = HCube.shufflePush(rels, p)
-      .map { case (c, (ri, t)) => (c, (ri, t.toVector)) }
-      .groupByKey().collect().toMap
+    val perCube = copies(HCube.shufflePull(rels, p)).groupBy(_._1)
     // For each joinable pair, some cube holds both tuples.
     for ((rt, st) <- Seq((r(0), s(0)), (r(1), s(1)))) {
       val hit = perCube.values.exists { ts =>
-        ts.exists(x => x._1 == 0 && x._2 == rt.toVector) &&
-          ts.exists(x => x._1 == 1 && x._2 == st.toVector)
+        ts.exists(x => x._2 == 0 && x._3 == rt.toVector) &&
+          ts.exists(x => x._2 == 1 && x._3 == st.toVector)
       }
       assert(hit, s"pair ${rt.toVector} / ${st.toVector} never co-located")
     }

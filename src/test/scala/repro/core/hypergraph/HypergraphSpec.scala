@@ -37,31 +37,12 @@ class HypergraphSpec extends AnyFunSuite {
     assert(q.atomsWith(q.attrId("e")) == Vector(3, 4))
   }
 
-  test("restrictToAtoms rebuilds a sub-hypergraph") {
-    val sub = q.restrictToAtoms(Seq(1, 2))
-    assert(sub.numAtoms == 2)
-    assert(sub.attributes == Vector("a", "d", "c"))
-  }
-
   test("atom rejects repeated attributes") {
     intercept[IllegalArgumentException](Atom("X", Vector("a", "a")))
   }
 
   test("empty query is rejected") {
     intercept[IllegalArgumentException](Hypergraph(Vector.empty))
-  }
-
-  test("connected: overlapping edge sets") {
-    assert(q.connected(Seq(Set(0, 1), Set(1, 2), Set(2, 3))))
-  }
-
-  test("connected: disjoint edge sets are not connected") {
-    assert(!q.connected(Seq(Set(0, 1), Set(2, 3))))
-  }
-
-  test("connected: empty and singleton are trivially connected") {
-    assert(q.connected(Seq.empty))
-    assert(q.connected(Seq(Set(0))))
   }
 
   test("query library: Q1 is the triangle") {

@@ -15,7 +15,6 @@ class LeapfrogSpec extends AnyFunSuite {
       q: Hypergraph,
       data: IndexedSeq[Seq[Array[Long]]],
       ord: Seq[Int],
-      cacheSize: Int = 0,
       firstFixed: Option[Long] = None,
       stats: LeapfrogStats = null,
   ): Set[Vector[Long]] = {
@@ -23,7 +22,7 @@ class LeapfrogSpec extends AnyFunSuite {
     val tries = q.atoms.indices.map { i =>
       TrieRelation.build(q.atoms(i).attrs.map(q.attrId), lvl, data(i))
     }
-    val lf = new Leapfrog(tries, ord.length, firstFixed, cacheSize, stats)
+    val lf = new Leapfrog(tries, ord.length, firstFixed, stats)
     lf.map { row => (0 until q.numAttrs).map(a => row(lvl(a))).toVector }.toSet
   }
 
@@ -76,28 +75,6 @@ class LeapfrogSpec extends AnyFunSuite {
         assert(lftj(q, data, ord) == exp, s"order $ord differs for $q")
       }
     }
-  }
-
-  test("cache variant returns the same result and records hits") {
-    val g = TestHelpers.randomGraph(nodes = 15, edges = 40, seed = 3)
-    val q = QueryLibrary.q2
-    val data   = TestHelpers.bindGraph(q, g)
-    val plain  = lftj(q, data, defaultOrd(q))
-    val stats  = new LeapfrogStats(q.numAttrs)
-    val cached = lftj(q, data, defaultOrd(q), cacheSize = 100000, stats = stats)
-    assert(cached == plain)
-  }
-
-  test("cache gets hits on a query with repeated sub-bindings") {
-    // Q9 star query: center a repeated for each leaf — caching level
-    // intersections keyed on 'a' must hit when 'a' repeats... build a graph
-    // where many (a,b) pairs share b-side candidates.
-    val g = (1 to 6).flatMap(x => (7 to 12).map(y => Array(x.toLong, y.toLong))) ++
-            (7 to 12).flatMap(x => (1 to 6).map(y => Array(x.toLong, y.toLong)))
-    val q = QueryLibrary.q1
-    val stats = new LeapfrogStats(q.numAttrs)
-    lftj(q, TestHelpers.bindGraph(q, g), defaultOrd(q), cacheSize = 100000, stats = stats)
-    assert(stats.cacheHits >= 0) // smoke: counter wired
   }
 
   test("level counts are consistent: level 0 counts its bindings") {
@@ -159,7 +136,6 @@ class LeapfrogSpec extends AnyFunSuite {
   }
 
   test("every level must be bound by some relation") {
-    val q = QueryLibrary.q1
     val lvl = Map(0 -> 0, 1 -> 1, 2 -> 2)
     val tries = IndexedSeq(
       TrieRelation.build(Seq(0, 1), lvl, Seq(Array(1L, 2L))))

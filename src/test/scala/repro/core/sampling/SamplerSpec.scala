@@ -53,7 +53,6 @@ class SamplerSpec extends SparkSpec {
   test("empty intersection gives a zero estimate") {
     // Bipartite-ish directed construction with no symmetric closure: make
     // a graph where attr values of a never intersect across relations.
-    val q = QueryLibrary.q1
     val rdd = spark.sparkContext.parallelize(Seq(Array(1L, 2L)), 1)
     val r = IndexedSeq(
       Rel("R1", Vector(0, 1), rdd, 1L),

@@ -13,27 +13,27 @@ class GraphDataSpec extends SparkSpec {
   }
 
   test("graphs are symmetric") {
-    val g = GraphData.graph(spark, 2000, 500, 0.9, 99).cache()
+    val g = GraphData.graph(spark, GraphData.wb).cache()
     val fwd = g.select("src", "dst")
     val rev = g.select(col("dst") as "src", col("src") as "dst")
     assert(fwd.except(rev).count() == 0)
   }
 
   test("graphs have no self-loops and no duplicates") {
-    val g = GraphData.graph(spark, 3000, 800, 0.9, 98).cache()
+    val g = GraphData.graph(spark, GraphData.wb).cache()
     assert(g.where(col("src") === col("dst")).count() == 0)
     assert(g.count() == g.distinct().count())
   }
 
   test("vertex ids stay in the configured domain") {
-    val g = GraphData.graph(spark, 2000, 300, 0.9, 97)
+    val g = GraphData.graph(spark, GraphData.wb)
     val row = g.agg(min("src"), max("src"), min("dst"), max("dst")).head()
-    assert(row.getLong(0) >= 1 && row.getLong(1) <= 300)
-    assert(row.getLong(2) >= 1 && row.getLong(3) <= 300)
+    assert(row.getLong(0) >= 1 && row.getLong(1) <= GraphData.wb.nodes)
+    assert(row.getLong(2) >= 1 && row.getLong(3) <= GraphData.wb.nodes)
   }
 
   test("degree distribution is heavy-tailed (hubs exist)") {
-    val g = GraphData.graph(spark, 20000, 5000, 0.85, 96).cache()
+    val g = GraphData.graph(spark, GraphData.wb).cache()
     val degrees = g.groupBy("src").count().select("count")
       .collect().map(_.getLong(0)).sorted.reverse
     val n = degrees.length
