@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.adj.Adj
 
 /** Shared driver for the Tables II–IV reproduction: runs Q4–Q6 under the
   * Co-Optimization (ADJ) and Communication-First (HCubeJ) strategies on one
@@ -14,7 +15,7 @@ abstract class CostTableBench(tableName: String, dataset: String) extends SparkS
   protected def budgetSec: Double =
     sys.env.getOrElse("BENCH_BUDGET_SEC", "150").toDouble
   protected def samples: Int =
-    sys.env.getOrElse("BENCH_SAMPLES", "100").toInt
+    sys.env.get("BENCH_SAMPLES").fold(Adj.Config().samples)(_.toInt)
 
   test(s"$tableName: co-optimization vs communication-first on $dataset") {
     val rows = Harness.costTable(spark, dataset, budgetSec, samples)

@@ -3,6 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 
 import repro.bench.Harness
+import repro.core.adj.Adj
 
 /** spark-submit entrypoint reproducing one of Tables II–IV.
   *
@@ -16,7 +17,7 @@ object CostTableJob {
   def main(args: Array[String]): Unit = {
     val dataset = args.headOption.getOrElse("AS")
     val budget  = args.lift(1).map(_.toDouble).getOrElse(150.0)
-    val samples = args.lift(2).map(_.toInt).getOrElse(400)
+    val samples = args.lift(2).map(_.toInt).getOrElse(Adj.Config().samples)
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"adj-cost-table-$dataset")

@@ -67,7 +67,7 @@ object Harness {
       queryName: String,
       strategy: Adj.Strategy,
       budgetSec: Double,
-      samples: Int = 100,
+      samples: Int = Adj.Config().samples,
   ): CaseResult = {
     val spec  = GraphData.byName(dataset)
     val query = QueryLibrary.all(queryName)
@@ -115,7 +115,7 @@ object Harness {
 
   /** Table II/III/IV driver: Q4–Q6 under both strategies on one dataset. */
   def costTable(spark: SparkSession, dataset: String, budgetSec: Double,
-                samples: Int = 500): Seq[CaseResult] = {
+                samples: Int = Adj.Config().samples): Seq[CaseResult] = {
     for {
       q     <- Seq("Q4", "Q5", "Q6")
       strat <- Seq(Adj.CoOptimization, Adj.CommunicationFirst)

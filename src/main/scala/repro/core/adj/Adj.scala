@@ -30,14 +30,10 @@ object Adj {
   case object CoOptimization      extends Strategy
   case object CommunicationFirst  extends Strategy
 
-  /** @param samples    sampling budget per cardinality estimate
-    * @param cubeBudget hypercubes for HCube (default: default parallelism)
+  /** @param samples sampling budget per cardinality estimate; the one
+    *                default every caller reads
     */
-  final case class Config(
-      strategy: Strategy = CoOptimization,
-      samples: Int = 500,
-      cubeBudget: Option[Int] = None,
-  )
+  final case class Config(strategy: Strategy = CoOptimization, samples: Int = 100)
 
   /** Per-stage wall-clock report matching the paper's Tables II–IV columns.
     * Communication, computation and the result size come from the final
@@ -75,7 +71,7 @@ object Adj {
       cfg: Config = Config(),
   ): (RDD[Array[Long]], Report) = {
     require(data.length == query.numAtoms, "one RDD per atom required")
-    val budget = cfg.cubeBudget.getOrElse(math.max(2, spark.sparkContext.defaultParallelism))
+    val budget = math.max(2, spark.sparkContext.defaultParallelism)
 
     // Count each distinct backing RDD once (the workload reuses one graph).
     val persisted   = collection.mutable.ArrayBuffer.empty[RDD[Array[Long]]]

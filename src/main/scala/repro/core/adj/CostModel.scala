@@ -61,7 +61,7 @@ final class CostModel(
     * query onto the predecessors' attributes; β depends on whether v is
     * pre-computed.
     */
-  def costE(v: Int, before: Set[Int], preComputed: Boolean): Double = {
+  def costE(before: Set[Int], preComputed: Boolean): Double = {
     val bindings =
       if (before.isEmpty) 1.0
       else {
@@ -91,41 +91,46 @@ object CostModel {
   @volatile private var alphaCache: Double = -1.0
   @volatile private var betaPreCache: Double = -1.0
 
-  /** α: tuples shuffled per second, measured by shuffling k synthetic tuples
-    * across all partitions once per JVM (Sec. III-B).
+  // Calibration sizes: α's synthetic tuples, β_pre's sorted keys and probes.
+  private val AlphaTuples   = 150000L
+  private val BetaPreKeys   = 1 << 16
+  private val BetaPreProbes = 1_000_000
+
+  /** α: tuples shuffled per second, measured by shuffling `AlphaTuples`
+    * synthetic tuples across all partitions once per JVM (Sec. III-B).
     */
-  def measuredAlpha(spark: SparkSession, k: Long = 150000L): Double = {
+  def measuredAlpha(spark: SparkSession): Double = {
     if (alphaCache > 0) return alphaCache
     val sc    = spark.sparkContext
     val parts = math.max(2, sc.defaultParallelism)
-    val rdd   = sc.range(0L, k, numSlices = parts)
+    val rdd   = sc.range(0L, AlphaTuples, numSlices = parts)
       .map(i => (HCube.hash(i, parts), Array(i, i + 1)))
     val t0 = System.nanoTime()
     rdd.partitionBy(new HashPartitioner(parts)).count()
     val sec = (System.nanoTime() - t0) / 1e9
-    alphaCache = k / math.max(sec, 1e-6)
+    alphaCache = AlphaTuples / math.max(sec, 1e-6)
     alphaCache
   }
 
   /** β for pre-computed nodes: trie probes per second, measured by binary
-    * searches over a sorted array of `size` keys (the pre-built trie makes
-    * an extension a pure lookup; bags at bench scale are cache-resident,
-    * hence the modest default size).
+    * searches over a sorted array of `BetaPreKeys` keys (the pre-built trie
+    * makes an extension a pure lookup; bags at bench scale are
+    * cache-resident, hence the modest size).
     */
-  def measuredBetaPre(size: Int = 1 << 16, probes: Int = 1_000_000): Double = {
+  def measuredBetaPre(): Double = {
     if (betaPreCache > 0) return betaPreCache
     val rnd = new scala.util.Random(7)
-    val arr = Array.fill(size)(rnd.nextLong()).sorted
+    val arr = Array.fill(BetaPreKeys)(rnd.nextLong()).sorted
     var acc = 0L
     val t0 = System.nanoTime()
     var i = 0
-    while (i < probes) {
+    while (i < BetaPreProbes) {
       acc += java.util.Arrays.binarySearch(arr, rnd.nextLong())
       i += 1
     }
     val sec = (System.nanoTime() - t0) / 1e9
     if (acc == Long.MinValue) Console.err.println("") // keep `acc` live
-    betaPreCache = probes / math.max(sec, 1e-6)
+    betaPreCache = BetaPreProbes / math.max(sec, 1e-6)
     betaPreCache
   }
 }

@@ -45,7 +45,7 @@ final class Optimizer(model: CostModel) {
         if (tree.inducesConnectedSubtree(remaining - v)) {
           val before = remaining - v
           // Option 1: do not pre-compute v.
-          val e1 = model.costE(v, before, preComputed = false)
+          val e1 = model.costE(before, preComputed = false)
           val cost1 = accM + accE + e1 + model.costC(c)
           if (cost1 < bestCost) {
             bestCost = cost1; bestV = v; bestPre = false; bestE = e1; bestM = 0.0
@@ -53,7 +53,7 @@ final class Optimizer(model: CostModel) {
           // Option 2: pre-compute v (only meaningful for multi-atom bags).
           if (tree.nodes(v).atomIdxs.length > 1) {
             val m  = model.costM(v)
-            val e2 = model.costE(v, before, preComputed = true)
+            val e2 = model.costE(before, preComputed = true)
             val cost2 = accM + m + accE + e2 + model.costC(c + v)
             if (cost2 < bestCost) {
               bestCost = cost2; bestV = v; bestPre = true; bestE = e2; bestM = m

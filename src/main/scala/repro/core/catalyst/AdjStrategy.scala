@@ -47,7 +47,7 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
     }
     Adj.Config(
       strategy = strat,
-      samples = session.conf.get("spark.repro.adj.samples", "200").toInt,
+      samples = session.conf.getOption("spark.repro.adj.samples").fold(Adj.Config().samples)(_.toInt),
     )
   }
 
@@ -69,7 +69,7 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
         } yield (ls, es ++ eqs)
       // Column-pruning projections between joins are transparent: dropping a
       // column never changes multiplicities here because the executor emits
-      // one row per full attribute binding.
+      // every full attribute binding as often as its bag multiplicity.
       case Project(projList, child @ Join(_, _, Inner, _, _))
           if projList.forall(_.isInstanceOf[AttributeReference]) =>
         flatten(child)
@@ -101,15 +101,14 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
   ): Option[SparkPlan] = {
     val allAttrs = leaves.flatMap(_.output)
     val idx      = allAttrs.map(_.exprId).zipWithIndex.toMap
-    if (idx.size != allAttrs.length) return None // duplicated exprIds — bail
+    // Bail on duplicated exprIds, or an equality on an attribute outside the leaves.
+    if (idx.size != allAttrs.length || eqs.exists { case (a, b) => !idx.contains(a.exprId) || !idx.contains(b.exprId) })
+      return None
     val parent = Array.tabulate(allAttrs.length)(identity)
     def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); parent(x) = r; r }
     for ((a, b) <- eqs) {
-      (idx.get(a.exprId), idx.get(b.exprId)) match {
-        case (Some(i), Some(j)) =>
-          val (ri, rj) = (find(i), find(j)); if (ri != rj) parent(ri) = rj
-        case _ => return None // equality references an attribute outside the leaves
-      }
+      val (ri, rj) = (find(idx(a.exprId)), find(idx(b.exprId)))
+      if (ri != rj) parent(ri) = rj
     }
     // Class ids in first-appearance order, so the hypergraph's attribute ids
     // line up with the executor's ascending-attribute-id output columns.
@@ -124,14 +123,12 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
     if (allAttrs.indices.exists(i => allAttrs(i).nullable && classOf.count(_ == classOf(i)) == 1)) return None
     // A leaf binding the same class twice is a within-relation selection the
     // hypergraph cannot express — bail to the default planner.
-    var off   = 0
-    val atoms = leaves.zipWithIndex.map { case (leaf, li) =>
-      val classes = leaf.output.indices.map(c => classOf(off + c))
-      off += leaf.output.length
-      if (classes.distinct.length != classes.length) return None
-      Atom(s"L$li", classes.map(c => s"x$c").toVector)
-    }
-    val query = Hypergraph(atoms.toVector)
+    val offsets     = leaves.scanLeft(0)(_ + _.output.length)
+    val leafClasses = leaves.indices.map(li => leaves(li).output.indices.map(c => classOf(offsets(li) + c)))
+    if (leafClasses.exists(cs => cs.distinct.length != cs.length)) return None
+    val query = Hypergraph(leafClasses.zipWithIndex.map { case (cs, li) =>
+      Atom(s"L$li", cs.map(c => s"x$c").toVector)
+    }.toVector)
     // Map the matched plan's own output columns (which may be a pruned
     // subset of the leaf columns) to their attribute classes.
     val outputClasses = plan.output.map(a => classOf(idx(a.exprId))).toVector

@@ -30,12 +30,11 @@ object MultiwayJoin {
 
   /** One hypercube's evaluation: its start (epoch milliseconds on the task's
     * clock), its seconds from reading its first block until its Leapfrog was
-    * exhausted, and its Leapfrog counters. The seconds include whatever work
+    * exhausted, its Leapfrog counters and the rows it emitted (each binding
+    * as often as its bag multiplicity). The seconds include whatever work
     * the consumer does per row in the same task.
     */
-  final case class CubeStats(startMs: Long, sec: Double, leapfrog: LeapfrogStats) {
-    def rows: Long = leapfrog.levelCounts.last
-  }
+  final case class CubeStats(startMs: Long, sec: Double, leapfrog: LeapfrogStats, rows: Long)
 
   /** Phases of one execution, in seconds, plus the result size.
     *
@@ -111,24 +110,28 @@ object MultiwayJoin {
       val stats   = new LeapfrogStats(n)
       val perRel  = Array.fill(relAttrs.length)(collection.mutable.ArrayBuffer.empty[Array[Long]])
       it.foreach { case (_, (ri, block)) => perRel(ri) ++= block }
-      val rows =
-        if (perRel.exists(_.isEmpty)) Iterator.empty
-        else {
-          val tries = relAttrs.indices.map(ri => TrieRelation.build(relAttrs(ri), lvl, perRel(ri)))
-          new Leapfrog(tries, n, stats = stats)
-        }
+      // A cube with an empty input has no result and builds no tries.
+      val lf =
+        if (perRel.exists(_.isEmpty)) null
+        else new Leapfrog(relAttrs.indices.map(ri => TrieRelation.build(relAttrs(ri), lvl, perRel(ri))), n,
+          stats = stats)
       new Iterator[Array[Long]] {
-        private var open = true
+        private var open    = true
+        private var row: Array[Long] = _
+        private var copies  = 0L // further copies of `row` to emit
+        private var emitted = 0L
         override def hasNext: Boolean = {
-          val more = rows.hasNext
+          val more = copies > 0 || (lf != null && lf.hasNext)
           if (!more && open) {
             open = false
-            acc.add(cube -> CubeStats(startMs, (System.nanoTime() - start) / 1e9, stats))
+            acc.add(cube -> CubeStats(startMs, (System.nanoTime() - start) / 1e9, stats, emitted))
           }
           more
         }
         override def next(): Array[Long] = {
-          val row = rows.next()
+          if (copies == 0) { row = lf.next(); copies = lf.multiplicity }
+          copies -= 1
+          emitted += 1
           val out = new Array[Long](n)
           var k = 0
           while (k < n) { out(k) = row(outPerm(k)); k += 1 }

@@ -16,6 +16,13 @@ final class LeapfrogStats(n: Int) extends Serializable {
   * the tries were built with. Emitted tuples are indexed by *global level*
   * (position in ord); callers reorder to attribute-id order as needed.
   *
+  * Each participant of a level is one cursor, a row inside its relation's
+  * current range. The leapfrog search seeks the cursors up to their largest
+  * value until they agree; binding that value narrows every participant's
+  * range one level down to the run of rows holding it, and moves the cursor
+  * past the run. Every distinct binding is emitted once; a duplicated input
+  * tuple is a run of length > 1 at full depth, counted by [[multiplicity]].
+  *
   * @param rels        the relations; each participates at the levels it binds
   * @param numLevels   |attrs(Q)| — the number of global levels
   * @param firstFixed  if set, only bindings whose level-0 value equals this
@@ -40,100 +47,78 @@ final class Leapfrog(
   }
   require(partRel.forall(_.nonEmpty), "every level must be bound by some relation")
 
-  // Ranges: for relation r, (lo, hi) after its first d columns are bound.
+  // Ranges: for relation r, [lo, hi) after its first d columns are bound.
   private val lo = rels.map(r => new Array[Int](r.arity + 1)).toArray
   private val hi = rels.map(r => new Array[Int](r.arity + 1)).toArray
   rels.indices.foreach { r => lo(r)(0) = 0; hi(r)(0) = rels(r).size }
+  // Level 0 is column 0 of each of its participants: a fixed first value
+  // narrows their whole relation to the rows holding it.
+  firstFixed.foreach { v =>
+    partRel(0).foreach { r =>
+      lo(r)(0) = rels(r).seekGE(0, 0, rels(r).size, v)
+      hi(r)(0) = rels(r).equalRangeEnd(0, lo(r)(0), rels(r).size, v)
+    }
+  }
 
-  private val binding    = new Array[Long](numLevels)
-  private val candidates = new Array[Array[Long]](numLevels)
-  private val candIdx    = new Array[Int](numLevels)
-  private var level      = 0
+  // pos(lvl)(i): the cursor of participant i of level lvl.
+  private val pos     = partRel.map(rs => new Array[Int](rs.length))
+  private val binding = new Array[Long](numLevels)
+  private var level   = 0
   private var nextRow: Array[Long] = _
-  private var done       = false
-  private var steps      = 0L
+  private var done    = false
+  private var steps   = 0L
+  private var mult    = 0L
+  open(0)
 
-  candidates(0) = firstFixed match {
-    case Some(v) =>
-      // Constrained start (sampling): membership probe instead of a full
-      // level-0 intersection — one binary search per participant.
-      val rs = partRel(0); val cs = partCol(0)
-      val present = rs.indices.forall { i =>
-        val r = rels(rs(i)); val d = cs(i)
-        val s = r.seekGE(d, lo(rs(i))(d), hi(rs(i))(d), v)
-        s < hi(rs(i))(d) && r.rows(s)(d) == v
-      }
-      if (present) Array(v) else Array.emptyLongArray
-    case None => intersectAt(0)
-  }
-  candIdx(0) = 0
-
-  /** Leapfrog k-way intersection of the participants' candidate values at
-    * `lvl`, given the current ranges.
-    */
-  private def intersectAt(lvl: Int): Array[Long] = {
-    val rs = partRel(lvl)
-    val cs = partCol(lvl)
-    val k  = rs.length
-    if (k == 1) {
-      val r = rels(rs(0)); val d = cs(0)
-      return r.distinctValues(d, lo(rs(0))(d), hi(rs(0))(d))
-    }
-    val buf = collection.mutable.ArrayBuilder.make[Long]
-    val pos = new Array[Int](k)
+  /** Puts the cursors of `lvl` at the start of their ranges. */
+  private def open(lvl: Int): Unit = {
+    val rs = partRel(lvl); val cs = partCol(lvl); val p = pos(lvl)
     var i = 0
-    while (i < k) {
-      pos(i) = lo(rs(i))(cs(i))
-      if (pos(i) >= hi(rs(i))(cs(i))) return buf.result()
-      i += 1
-    }
-    var running = true
-    while (running) {
+    while (i < p.length) { p(i) = lo(rs(i))(cs(i)); i += 1 }
+  }
+
+  /** Moves the cursors of `lvl` forward to the next value they all hold and
+    * binds it; false once a cursor leaves its range.
+    */
+  private def search(lvl: Int): Boolean = {
+    val rs = partRel(lvl); val cs = partCol(lvl); val p = pos(lvl)
+    var vmax  = Long.MinValue
+    var agree = false
+    while (!agree) {
       // Find the max of the current values; then seek everyone up to it.
-      var vmax = Long.MinValue
-      i = 0
-      while (i < k) {
-        val v = rels(rs(i)).rows(pos(i))(cs(i))
-        if (v > vmax) vmax = v
+      var i = 0
+      while (i < p.length) {
+        if (p(i) >= hi(rs(i))(cs(i))) return false
+        vmax = math.max(vmax, rels(rs(i)).rows(p(i))(cs(i)))
         i += 1
       }
-      var agree = true
+      agree = true
       i = 0
-      while (i < k && running) {
-        val r = rels(rs(i)); val d = cs(i)
-        pos(i) = r.seekGE(d, pos(i), hi(rs(i))(d), vmax)
-        if (pos(i) >= hi(rs(i))(d)) { running = false }
-        else if (r.rows(pos(i))(d) != vmax) agree = false
-        i += 1
-      }
-      if (running && agree) {
-        buf += vmax
-        // Advance each participant past vmax.
-        i = 0
-        while (i < k && running) {
-          val r = rels(rs(i)); val d = cs(i)
-          pos(i) = r.equalRangeEnd(d, pos(i), hi(rs(i))(d), vmax)
-          if (pos(i) >= hi(rs(i))(d)) running = false
-          i += 1
+      while (i < p.length) {
+        val r = rels(rs(i)); val d = cs(i); val h = hi(rs(i))(d)
+        if (r.rows(p(i))(d) != vmax) {
+          p(i) = r.seekGE(d, p(i), h, vmax)
+          if (p(i) >= h) return false
+          if (r.rows(p(i))(d) != vmax) agree = false
         }
+        i += 1
       }
     }
-    buf.result()
+    binding(lvl) = vmax
+    true
   }
 
-  /** Binds value v at `lvl`: narrows every participant's range to the rows
-    * matching v in its column for this level.
+  /** Narrows every participant's range one level down to the run of the
+    * bound value at its cursor, and moves the cursor past the run.
     */
-  private def bind(lvl: Int, v: Long): Unit = {
-    binding(lvl) = v
-    val rs = partRel(lvl); val cs = partCol(lvl)
+  private def bind(lvl: Int): Unit = {
+    val rs = partRel(lvl); val cs = partCol(lvl); val p = pos(lvl)
     var i = 0
-    while (i < rs.length) {
-      val r = rels(rs(i)); val d = cs(i)
-      val s = r.seekGE(d, lo(rs(i))(d), hi(rs(i))(d), v)
-      val e = r.equalRangeEnd(d, s, hi(rs(i))(d), v)
-      lo(rs(i))(d + 1) = s
-      hi(rs(i))(d + 1) = e
+    while (i < p.length) {
+      val r = rs(i); val d = cs(i)
+      lo(r)(d + 1) = p(i)
+      p(i) = rels(r).equalRangeEnd(d, p(i), hi(r)(d), binding(lvl))
+      hi(r)(d + 1) = p(i)
       i += 1
     }
   }
@@ -143,27 +128,17 @@ final class Leapfrog(
       steps += 1
       if ((steps & 0xFFFFFL) == 0L && Thread.currentThread().isInterrupted)
         throw new RuntimeException("leapfrog interrupted (job cancelled)")
-      if (candIdx(level) < candidates(level).length) {
-        val v = candidates(level)(candIdx(level))
-        candIdx(level) += 1
-        if (level == 0 && firstFixed.exists(_ != v)) {
-          // Skip non-matching roots when sampling with a fixed first value.
-        } else {
-          bind(level, v)
-          st.extensions += 1
-          st.levelCounts(level) += 1
-          if (level == numLevels - 1) {
-            nextRow = binding.clone()
-            return
-          } else {
-            level += 1
-            candidates(level) = intersectAt(level)
-            candIdx(level) = 0
-          }
+      if (search(level)) {
+        bind(level)
+        st.extensions += 1
+        st.levelCounts(level) += 1
+        if (level == numLevels - 1) {
+          nextRow = binding.clone()
+          return
         }
-      } else {
-        level -= 1
-      }
+        level += 1
+        open(level)
+      } else level -= 1
     }
     done = true
   }
@@ -175,10 +150,18 @@ final class Leapfrog(
 
   override def next(): Array[Long] = {
     if (!hasNext) throw new NoSuchElementException
-    val r = nextRow
+    mult = 1L
+    var r = 0
+    while (r < rels.length) { mult *= hi(r)(rels(r).arity) - lo(r)(rels(r).arity); r += 1 }
+    val row = nextRow
     nextRow = null
-    r
+    row
   }
+
+  /** Bag multiplicity of the row `next` returned last: the product over the
+    * relations of its run of duplicate tuples.
+    */
+  def multiplicity: Long = mult
 
   /** Drains the iterator, returning only the match count (for sampling). */
   def countAll(): Long = {

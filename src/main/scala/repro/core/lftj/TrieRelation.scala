@@ -6,13 +6,14 @@ import java.util.Comparator
   * with columns ordered by the global attribute order, so every column is
   * sorted within any fixed-prefix range and the sorted array *is* the trie
   * (level-d children of a prefix = the distinct values of column d in the
-  * prefix's row range).
+  * prefix's row range). Duplicate tuples are kept as adjacent runs, so a
+  * full-depth range's length is the tuple's multiplicity.
   *
   * @param levels  the global attribute-order positions this relation binds,
   *                ascending; column d of `rows` holds the attribute at
   *                global level `levels(d)`
   * @param attrs   the global attribute ids per column (parallel to levels)
-  * @param rows    deduplicated, lexicographically sorted tuples
+  * @param rows    lexicographically sorted tuples, duplicates included
   */
 final class TrieRelation private (
     val levels: Array[Int],
@@ -45,18 +46,6 @@ final class TrieRelation private (
     }
     lo
   }
-
-  /** Distinct values of column d over the range [lo, hi). */
-  def distinctValues(d: Int, lo: Int, hi: Int): Array[Long] = {
-    val buf = collection.mutable.ArrayBuilder.make[Long]
-    var i = lo
-    while (i < hi) {
-      val v = rows(i)(d)
-      buf += v
-      i = equalRangeEnd(d, i, hi, v)
-    }
-    buf.result()
-  }
 }
 
 object TrieRelation {
@@ -84,13 +73,6 @@ object TrieRelation {
       c
     }
     java.util.Arrays.sort(arr, cmp)
-    // Dedup in place.
-    var w = 0
-    var i = 0
-    while (i < arr.length) {
-      if (w == 0 || cmp.compare(arr(w - 1), arr(i)) != 0) { arr(w) = arr(i); w += 1 }
-      i += 1
-    }
-    new TrieRelation(levels, attrs, if (w == arr.length) arr else java.util.Arrays.copyOf(arr, w))
+    new TrieRelation(levels, attrs, arr)
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.hcube.Rel
 import repro.core.lftj.{Leapfrog, LeapfrogStats, TrieRelation}
-import repro.core.sampling.Sampler.Estimate
+import repro.core.sampling.Sampler.{Estimate, MaxExtensionsPerSample, Seed}
 
 /** Sampling-based cardinality estimation (Sec. IV).
   *
@@ -30,13 +30,7 @@ import repro.core.sampling.Sampler.Estimate
   *
   * Estimates are memoized per (attribute set, relation subset).
   */
-final class Sampler(
-    spark: SparkSession,
-    rels: IndexedSeq[Rel],
-    val samples: Int = 500,
-    seed: Long = 42L,
-    maxExtensionsPerSample: Long = 200000L,
-) {
+final class Sampler(spark: SparkSession, rels: IndexedSeq[Rel], val samples: Int) {
 
   private val memo = collection.mutable.Map.empty[(Set[Int], Vector[Int]), Estimate]
 
@@ -100,7 +94,7 @@ final class Sampler(
     }
 
     // Uniform sample from val(A), deterministic in (seed, attrSet, rels).
-    val rnd   = new scala.util.Random(seed ^ attrSet.hashCode ^ relIdxs.hashCode)
+    val rnd   = new scala.util.Random(Seed ^ attrSet.hashCode ^ relIdxs.hashCode)
     val pool  = valSet.toArray
     val drawn =
       if (pool.length <= samples) pool
@@ -138,7 +132,7 @@ final class Sampler(
     val tries = localRels.map { case (attrs, rows) => TrieRelation.build(attrs, lvl, rows) }
 
     // Deviation from the paper (documented in DESIGN.md): each per-sample
-    // constrained Leapfrog is stopped after `maxExtensionsPerSample`
+    // constrained Leapfrog is stopped after `MaxExtensionsPerSample`
     // extensions. On heavy hubs a single |T_{A=a}| evaluation can cost a
     // large fraction of the query itself; the capped count is a lower bound
     // that preserves the order of magnitude the optimizer needs.
@@ -149,7 +143,7 @@ final class Sampler(
       val lf    = new Leapfrog(tries, ordAttrs.length, firstFixed = Some(a), stats = stats)
       val start = stats.extensions
       var c     = 0L
-      while (lf.hasNext && stats.extensions - start < maxExtensionsPerSample) {
+      while (lf.hasNext && stats.extensions - start < MaxExtensionsPerSample) {
         lf.next(); c += 1
       }
       total += c
@@ -166,6 +160,9 @@ final class Sampler(
 }
 
 object Sampler {
+
+  private val Seed                   = 42L
+  private val MaxExtensionsPerSample = 200000L
 
   /** @param card    estimated cardinality of the (projected) join
     * @param valA    |val(A)| for the anchor attribute

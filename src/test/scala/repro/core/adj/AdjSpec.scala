@@ -15,11 +15,11 @@ import repro.core.{CubeEvaluations, SparkTestData, TestHelpers}
 import repro.core.exec.MultiwayJoin
 import repro.core.ghd.GHD
 import repro.core.hcube.Shares
-import repro.core.hypergraph.QueryLibrary
+import repro.core.hypergraph.{Hypergraph, QueryLibrary}
 
 class AdjSpec extends SparkSpec {
 
-  private val smallCfg = Adj.Config(samples = 60, cubeBudget = Some(8))
+  private val smallCfg = Adj.Config(samples = 60)
 
   /** Drains `df` once and checks that the report counted the rows drained. */
   private def drain(df: DataFrame, report: Adj.Report): Long = {
@@ -76,7 +76,8 @@ class AdjSpec extends SparkSpec {
     assert(plan.traversal == Vector.empty[Int])
     assert(plan.ord.toSeq == (0 until 5))
     assert(plan.estimatedSec == 0.0)
-    val shares = Shares.optimize(q.edges.map(e => (e, g.length.toLong)), q.numAttrs, budget = 8)
+    val shares = Shares.optimize(q.edges.map(e => (e, g.length.toLong)), q.numAttrs,
+      budget = math.max(2, sc.defaultParallelism))
     assert(report.shuffledTuples == shares.shuffledTuples)
     assert(report.timings.numCubes == shares.p.product)
     assert(result.count() == report.resultCount)
@@ -177,6 +178,36 @@ class AdjSpec extends SparkSpec {
       val all = evals.perJoin()
       assert(all.size == 2 && all(bagJoin) == bagCubes, all)
     }
+  }
+
+  test("a duplicated input tuple multiplies the rows it joins into") {
+    // The triangle 1-2-3 in both directions plus the edge 3-4, with (1, 2)
+    // twice: the 3 ordered triangles that read (1, 2) count twice, 6 + 3 rows.
+    val g = Seq((1L, 2L), (2L, 3L), (1L, 3L), (3L, 4L)).flatMap { case (u, v) => Seq(Array(u, v), Array(v, u)) }
+    val q = QueryLibrary.q1
+    val data = Vector.fill(q.numAtoms)(spark.sparkContext.parallelize(g :+ Array(1L, 2L), 2))
+    val (result, report) = Adj.run(spark, q, data, smallCfg.copy(strategy = Adj.CommunicationFirst))
+    val rows = result.map(_.toVector).collect().toSeq
+    assert(report.resultCount == rows.length)
+    assert(rows.length == 9 && rows.count(_ == Vector(1L, 2L, 3L)) == 2, rows)
+  }
+
+  test("a pre-computed bag counts both copies of a duplicated input tuple") {
+    val g = TestHelpers.randomGraph(nodes = 12, edges = 30, seed = 42)
+    val q = QueryLibrary.q6
+    val tree = GHD.decompose(q)
+    val v = tree.nodes.indexWhere(_.atomIdxs.length > 1)
+    val node = tree.nodes(v)
+    val withDup = g ++ g.take(1)
+    val bag = Adj.precomputeBag(spark, q, SparkTestData.rels(spark, q, withDup), node, v, budget = 8)
+    try {
+      assert(bag.rdd.count() == bag.size)
+      assert(bag.rdd.map(_.toVector).distinct().count() < bag.size, "the duplicate joins nothing")
+      val sub = Hypergraph(node.atomIdxs.map(q.atoms))
+      val gdf = SparkTestData.graphDf(spark, withDup)
+      Oracle.assertEquivalent(Adj.toDf(spark, bag.rdd, node.attrs.toVector.sorted.map(q.attributes)),
+        SparkSqlJoin.sql(sub, "e"), "e" -> gdf)
+    } finally bag.rdd.unpersist(blocking = false)
   }
 
   test("Adj.run releases the inputs it persisted and leaves cached ones alone") {

@@ -54,16 +54,16 @@ class CostModelSpec extends SparkSpec {
     val m = model("Q4")
     val tree = m.tree
     assert(tree.nodes.length >= 2)
-    val cheap = m.costE(0, Set.empty, preComputed = false)
-    val costly = m.costE(0, tree.nodes.indices.toSet - 0, preComputed = false)
+    val cheap = m.costE(Set.empty, preComputed = false)
+    val costly = m.costE(tree.nodes.indices.toSet - 0, preComputed = false)
     assert(cheap <= costly + 1e-12)
   }
 
   test("costE with pre-computation uses the faster beta") {
     val m = model("Q4")
     val before = m.tree.nodes.indices.toSet - 0
-    val raw = m.costE(0, before, preComputed = false)
-    val pre = m.costE(0, before, preComputed = true)
+    val raw = m.costE(before, preComputed = false)
+    val pre = m.costE(before, preComputed = true)
     // betaPre (binary probes) is much larger than betaRaw on this scale.
     if (m.betaPre > m.betaRaw) assert(pre <= raw)
   }

@@ -84,6 +84,16 @@ class AdjStrategySpec extends SparkSpec {
     } finally adjSession.conf.set("spark.repro.adj.strategy", "co-optimization")
   }
 
+  test("a duplicated row joins as often as under SQL bag semantics") {
+    // The triangle 0-1-2 in both directions, plus a second copy of (0, 1).
+    val edges = Seq((0L, 1L), (1L, 2L), (2L, 0L)).flatMap { case (u, v) => Seq(Array(u, v), Array(v, u)) }
+    val gdf = SparkTestData.graphDf(adjSession, edges :+ Array(0L, 1L), parts = 2)
+    gdf.createOrReplaceTempView("edges_dup")
+    val df = adjSession.sql(SparkSqlJoin.sql(QueryLibrary.q1, "edges_dup"))
+    assert(planString(df).contains("AdjJoin"), planString(df))
+    Oracle.assertEquivalent(df, SparkSqlJoin.sql(QueryLibrary.q1, "e"), "e" -> gdf)
+  }
+
   test("NULL join keys match nothing, also without inferred IsNotNull filters") {
     // A triangle over 0, 1, 2, plus the edge 1-3 and an edge from 3 to NULL.
     // Read as 0, the NULL would close a second triangle 0-1-3.

@@ -135,6 +135,30 @@ class LeapfrogSpec extends AnyFunSuite {
     }
   }
 
+  test("Q5 in textual order keeps its exact extension and level counts") {
+    // Dense enough that bindings at levels 1-3 die further down, so seeks
+    // fail at levels 2-4 and not only at the leaves.
+    val g = TestHelpers.randomGraph(nodes = 30, edges = 160, seed = 53)
+    val q = QueryLibrary.q5
+    val lvl = defaultOrd(q).zipWithIndex.toMap
+    val tries = q.atoms.indices.map { i =>
+      TrieRelation.build(q.atoms(i).attrs.map(q.attrId), lvl, TestHelpers.bindGraph(q, g)(i))
+    }
+    val stats = new LeapfrogStats(q.numAttrs)
+    val rows = new Leapfrog(tries, q.numAttrs, stats = stats).map(_.toVector).toVector
+    // Pinned: the sampler's per-sample cap and beta read these counts, so a
+    // change to the kernel must keep them exactly.
+    assert(stats.extensions == 15676L)
+    assert(stats.levelCounts.toSeq == Seq(30L, 260L, 2434L, 6338L, 6614L))
+    for (l <- 1 to 3) assert(stats.levelCounts(l) > rows.map(_.take(l + 1)).distinct.size, l)
+    // Every node id, present or not, as the fixed level-0 value.
+    val fixed = new LeapfrogStats(q.numAttrs)
+    val perRoot = (1L to 30L).map(v => new Leapfrog(tries, q.numAttrs, Some(v), fixed).countAll())
+    assert(perRoot.sum == rows.length.toLong)
+    assert(fixed.extensions == stats.extensions)
+    assert(fixed.levelCounts.toSeq == stats.levelCounts.toSeq)
+  }
+
   test("every level must be bound by some relation") {
     val lvl = Map(0 -> 0, 1 -> 1, 2 -> 2)
     val tries = IndexedSeq(

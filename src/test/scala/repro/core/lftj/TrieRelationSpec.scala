@@ -13,10 +13,14 @@ class TrieRelationSpec extends AnyFunSuite {
       Vector(Vector(1L, 1L), Vector(1L, 2L), Vector(2L, 9L), Vector(3L, 1L)))
   }
 
-  test("build deduplicates") {
+  test("build keeps duplicate tuples as adjacent runs") {
     val t = TrieRelation.build(Seq(0, 1), ordPos,
-      Seq(Array(1L, 1L), Array(1L, 1L), Array(1L, 2L), Array(1L, 2L)))
-    assert(t.size == 2)
+      Seq(Array(1L, 2L), Array(1L, 1L), Array(1L, 2L), Array(1L, 1L), Array(1L, 2L)))
+    assert(t.rows.map(_.toVector).toVector ==
+      Vector(Vector(1L, 1L), Vector(1L, 1L), Vector(1L, 2L), Vector(1L, 2L), Vector(1L, 2L)))
+    // The run of (1, 2) within the prefix 1 has the tuple's multiplicity.
+    val s = t.seekGE(1, 0, t.size, 2L)
+    assert(t.equalRangeEnd(1, s, t.size, 2L) - s == 3)
   }
 
   test("build reorders columns to follow the attribute order") {
@@ -37,7 +41,7 @@ class TrieRelationSpec extends AnyFunSuite {
   }
 
   test("seekGE finds the first row at or above a value") {
-    // Two columns keep the duplicate first-column values after dedup.
+    // Two columns give the first column a run of equal values.
     val t = TrieRelation.build(Seq(0, 1), ordPos,
       Seq(Array(2L, 1L), Array(4L, 1L), Array(4L, 2L), Array(9L, 1L)))
     assert(t.seekGE(0, 0, t.size, 1L) == 0)
@@ -53,19 +57,10 @@ class TrieRelationSpec extends AnyFunSuite {
     assert(t.equalRangeEnd(0, 0, t.size, 2L) == 1)
   }
 
-  test("distinctValues over a range") {
-    val t = TrieRelation.build(Seq(0, 1), ordPos,
-      Seq(Array(1L, 1L), Array(1L, 3L), Array(2L, 3L), Array(2L, 4L), Array(2L, 4L)))
-    assert(t.distinctValues(0, 0, t.size).toSeq == Seq(1L, 2L))
-    // Within the prefix 2, the distinct second-column values are {3, 4}.
-    assert(t.distinctValues(1, 2, 4).toSeq == Seq(3L, 4L))
-  }
-
   test("empty relation builds and seeks safely") {
     val t = TrieRelation.build(Seq(0, 1), ordPos, Seq.empty)
     assert(t.size == 0)
     assert(t.seekGE(0, 0, 0, 5L) == 0)
-    assert(t.distinctValues(0, 0, 0).isEmpty)
   }
 
   test("arity matches the number of columns") {
