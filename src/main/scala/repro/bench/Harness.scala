@@ -71,18 +71,22 @@ object Harness {
   ): CaseResult = {
     val spec  = GraphData.byName(dataset)
     val query = QueryLibrary.all(queryName)
-    val graph = GraphData.graph(spark, spec).cache()
-    graph.count() // load the database "into memory" — excluded, as in the paper
     val stratName = strategy match {
       case Adj.CoOptimization     => "Co-Optimization"
       case Adj.CommunicationFirst => "Communication-First"
     }
-    withBudget(spark, budgetSec) {
-      val (df, report) = Adj.runOnGraph(spark, query, graph,
-        Adj.Config(strategy = strategy, samples = samples))
-      df.count() // the final join runs here; the report's computation times it
-      report
-    } match {
+    val graph = GraphData.graph(spark, spec).cache()
+    val outcome =
+      try {
+        graph.count() // load the database "into memory" — excluded, as in the paper
+        withBudget(spark, budgetSec) {
+          val (df, report) = Adj.runOnGraph(spark, query, graph,
+            Adj.Config(strategy = strategy, samples = samples))
+          df.count() // the final join runs here; the report's computation times it
+          report
+        }
+      } finally graph.unpersist()
+    outcome match {
       case Right(r) =>
         CaseResult(dataset, queryName, stratName, r.optimizationSec, r.preComputingSec,
           r.communicationSec, r.computationSec, r.totalSec, r.resultCount, timedOut = false, None)

@@ -33,7 +33,9 @@ object Adj {
   /** @param samples sampling budget per cardinality estimate; the one
     *                default every caller reads
     */
-  final case class Config(strategy: Strategy = CoOptimization, samples: Int = 100)
+  final case class Config(strategy: Strategy = CoOptimization, samples: Int = 100) {
+    require(samples >= 1, s"samples must be at least 1, not $samples")
+  }
 
   /** Per-stage wall-clock report matching the paper's Tables II–IV columns.
     * Communication, computation and the result size come from the final

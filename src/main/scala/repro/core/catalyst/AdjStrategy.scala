@@ -42,8 +42,10 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
 
   private def strategyCfg: Adj.Config = {
     val strat = session.conf.get("spark.repro.adj.strategy", "co-optimization") match {
+      case "co-optimization"     => Adj.CoOptimization
       case "communication-first" => Adj.CommunicationFirst
-      case _                     => Adj.CoOptimization
+      case other => throw new IllegalArgumentException(
+        s"spark.repro.adj.strategy must be co-optimization or communication-first, not '$other'")
     }
     Adj.Config(
       strategy = strat,
@@ -150,15 +152,13 @@ final case class AdjJoinExec(
 
   override protected def doExecute(): RDD[InternalRow] = {
     val spark = SparkSession.active
-    // Every nullable input column is a join key (see AdjStrategy), and a
-    // NULL key matches nothing, so a row with a NULL adds nothing to the result.
+    // Children that compute the same rows (equal canonical plans, as Spark's
+    // exchange reuse compares them) share one input, so a self-join reads,
+    // counts and samples its table once.
+    val shared = collection.mutable.Map.empty[SparkPlan, RDD[Array[Long]]]
     val data = children.toVector.map { child =>
-      child.execute().filter(!_.anyNull).map { row =>
-        val arr = new Array[Long](row.numFields)
-        var i = 0
-        while (i < arr.length) { arr(i) = row.getLong(i); i += 1 }
-        arr
-      }
+      if (child.deterministic) shared.getOrElseUpdate(child.canonicalized, longRows(child))
+      else longRows(child)
     }
     val (result, report) = Adj.run(spark, query, data, cfg)
     logInfo(s"ADJ report before the join runs: $report")
@@ -176,6 +176,16 @@ final case class AdjJoinExec(
       }
     }
   }
+
+  // Every nullable input column is a join key (see AdjStrategy), and a
+  // NULL key matches nothing, so a row with a NULL adds nothing to the result.
+  private def longRows(child: SparkPlan): RDD[Array[Long]] =
+    child.execute().filter(!_.anyNull).map { row =>
+      val arr = new Array[Long](row.numFields)
+      var i = 0
+      while (i < arr.length) { arr(i) = row.getLong(i); i += 1 }
+      arr
+    }
 
   override protected def withNewChildrenInternal(newChildren: IndexedSeq[SparkPlan]): SparkPlan =
     copy(children = newChildren)

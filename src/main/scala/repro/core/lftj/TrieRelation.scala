@@ -12,16 +12,21 @@ import java.util.Comparator
   * @param levels  the global attribute-order positions this relation binds,
   *                ascending; column d of `rows` holds the attribute at
   *                global level `levels(d)`
-  * @param attrs   the global attribute ids per column (parallel to levels)
-  * @param rows    lexicographically sorted tuples, duplicates included
+  * @param rows    lexicographically sorted tuples, duplicates included; the
+  *                columns after the first `levels.length` are carried but
+  *                not joined
   */
 final class TrieRelation private (
     val levels: Array[Int],
-    val attrs: Array[Int],
     val rows: Array[Array[Long]],
 ) {
   def arity: Int = levels.length
   def size: Int  = rows.length
+
+  /** The same rows as a trie over their first `levels.length` columns: its
+    * prefix is the projection onto them, with duplicates as runs.
+    */
+  def atLevels(levels: Array[Int]): TrieRelation = new TrieRelation(levels, rows)
 
   /** First row index in [from, hi) whose column `d` is >= v (the prefix
     * above column d must be constant over [from, hi)).
@@ -59,7 +64,6 @@ object TrieRelation {
   def build(attrIds: Seq[Int], ordPos: Int => Int, tuples: Iterable[Array[Long]]): TrieRelation = {
     val perm   = attrIds.indices.sortBy(i => ordPos(attrIds(i))).toArray
     val levels = perm.map(i => ordPos(attrIds(i)))
-    val attrs  = perm.map(attrIds(_))
     val k      = perm.length
     val arr    = tuples.iterator.map { t =>
       val r = new Array[Long](k)
@@ -73,6 +77,6 @@ object TrieRelation {
       c
     }
     java.util.Arrays.sort(arr, cmp)
-    new TrieRelation(levels, attrs, arr)
+    new TrieRelation(levels, arr)
   }
 }

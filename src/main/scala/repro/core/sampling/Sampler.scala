@@ -10,11 +10,17 @@ import repro.core.sampling.Sampler.{Estimate, MaxExtensionsPerSample, Seed}
   *
   * To estimate |T| for a (sub-)query, pick an anchor attribute A, compute
   * val(A) = ∩_R π_A R over the relations containing A, draw k uniform
-  * samples from it, semi-join-reduce the database against the sample, and
-  * run a Leapfrog constrained to each sampled value over the reduced data:
-  * |T| ≈ |val(A)| · mean(|T_{A=a}|). The Chernoff–Hoeffding bound (Lemma 2)
-  * makes the error ≤ p·b with confidence 1-δ for k = ⌈-0.5 p⁻² ln(2/δ)⌉
-  * samples.
+  * samples from it, semi-join-reduce the database against each sample, and
+  * run a Leapfrog constrained to it: |T| ≈ |val(A)| · mean(|T_{A=a}|). The
+  * Chernoff–Hoeffding bound (Lemma 2) makes the error ≤ p·b with confidence
+  * 1-δ for k = ⌈-0.5 p⁻² ln(2/δ)⌉ samples.
+  *
+  * Every step but the draw is a Leapfrog step over tries with A at level 0:
+  * val(A) is the join of level 0 alone, and fixing level 0 to a is the
+  * semi-join R ⋉ {a}. A relation's trie is its sorted copy with the
+  * attributes of the estimate first; the prefix over them is the
+  * projection, so one copy per (backing RDD, column order) serves every
+  * estimate.
   *
   * The same runs also yield β (partial bindings extended per second), reused
   * by the cost model, as the paper prescribes.
@@ -23,7 +29,7 @@ import repro.core.sampling.Sampler.{Estimate, MaxExtensionsPerSample, Seed}
   * semi-join reduction as distributed jobs because its inputs are 10⁷–10⁸
   * tuples. At this reproduction's 1/400 scale, per-job scheduling overhead
   * would dwarf the work, so each backing relation is pulled to the driver
-  * once (memoized across estimates) and the identical
+  * once and sorted once per column order, and the identical
   * intersect → sample → semi-join → constrained-Leapfrog protocol runs
   * locally. The distributed one-round machinery lives in `repro.core.hcube`
   * / `repro.core.exec` and is exercised by the execution phases.
@@ -35,10 +41,16 @@ final class Sampler(spark: SparkSession, rels: IndexedSeq[Rel], val samples: Int
   private val memo = collection.mutable.Map.empty[(Set[Int], Vector[Int]), Estimate]
 
   // One pull per distinct backing RDD (the workload binds every atom to a
-  // copy of the same graph, so this is usually a single collect).
+  // copy of the same graph, so this is usually a single collect), and one
+  // sorted copy per backing RDD and column order.
   private val fullCache = collection.mutable.Map.empty[Int, Array[Array[Long]]]
-  private def fullRows(i: Int): Array[Array[Long]] =
-    fullCache.getOrElseUpdate(rels(i).rdd.id, rels(i).rdd.collect())
+  private val trieCache = collection.mutable.Map.empty[(Int, Vector[Int]), TrieRelation]
+  private def sorted(i: Int, cols: Vector[Int]): TrieRelation = {
+    val rdd = rels(i).rdd
+    // Input column c goes to position cols.indexOf(c).
+    trieCache.getOrElseUpdate((rdd.id, cols),
+      TrieRelation.build(cols.indices, cols.indexOf(_), fullCache.getOrElseUpdate(rdd.id, rdd.collect())))
+  }
 
   private var extensionsTotal   = 0L
   private var extensionSecTotal = 0.0
@@ -68,68 +80,36 @@ final class Sampler(spark: SparkSession, rels: IndexedSeq[Rel], val samples: Int
     val active = relIdxs.filter(i => rels(i).attrs.exists(attrSet.contains))
     require(active.nonEmpty, s"no relation touches $attrSet")
 
-    // Anchor = attribute of attrSet contained in the most active relations.
-    val anchor = attrSet.toSeq
-      .map(a => (a, active.count(i => rels(i).attrs.contains(a))))
-      .filter(_._2 > 0)
-      .maxBy { case (a, c) => (c, -a) }._1
-
-    val withA = active.filter(i => rels(i).attrs.contains(anchor))
-    def colOf(i: Int, a: Int): Int = rels(i).attrs.indexOf(a)
-
-    // val(A) = ∩ π_A R over the relations containing A.
-    val valSet = withA
-      .map { i =>
-        val c = colOf(i, anchor)
-        val s = collection.mutable.LongMap.empty[Unit]
-        fullRows(i).foreach(t => s.update(t(c), ()))
-        s.keySet
-      }
-      .reduce(_ intersect _)
-    val valCount = valSet.size.toLong
-    if (valCount == 0L) {
-      val sec = (System.nanoTime() - t0) / 1e9
-      wallSecTotal += sec
-      return Estimate(0.0, 0L, anchor, sec)
+    // Attributes held by more active relations come first; the first is the
+    // anchor A.
+    val ordAttrs = attrSet.toVector.sortBy(a => (-active.count(i => rels(i).attrs.contains(a)), a))
+    val lvl      = ordAttrs.zipWithIndex.toMap
+    val anchor   = ordAttrs(0)
+    val tries = active.map { i =>
+      val attrs = rels(i).attrs
+      val cols  = attrs.indices.sortBy(c => lvl.getOrElse(attrs(c), Int.MaxValue)).toVector
+      sorted(i, cols).atLevels(cols.flatMap(c => lvl.get(attrs(c))).toArray)
     }
 
-    // Uniform sample from val(A), deterministic in (seed, attrSet, rels).
+    // val(A) = ∩ π_A R over the relations containing A. It stays a hash set
+    // because its iteration order is the pool the samples are drawn from:
+    // drawing from the sorted values picks other samples, and with them
+    // other estimates and plans.
+    val valSet = new Leapfrog(tries.filter(_.levels(0) == 0).map(_.atLevels(Array(0))), 1).map(_(0)).toSet
+    if (valSet.isEmpty) {
+      wallSecTotal += (System.nanoTime() - t0) / 1e9
+      return Estimate(0.0, 0L, anchor)
+    }
+
+    // Uniform sample from val(A), deterministic in (seed, attrSet, rels): a
+    // partial Fisher-Yates shuffle of its first `samples` positions.
     val rnd   = new scala.util.Random(Seed ^ attrSet.hashCode ^ relIdxs.hashCode)
     val pool  = valSet.toArray
-    val drawn =
-      if (pool.length <= samples) pool
-      else {
-        // Partial Fisher-Yates for the first `samples` positions.
-        var i = 0
-        while (i < samples) {
-          val j = i + rnd.nextInt(pool.length - i)
-          val tmp = pool(i); pool(i) = pool(j); pool(j) = tmp
-          i += 1
-        }
-        pool.take(samples)
-      }
-    val sampleSet = drawn.toSet
-
-    // Semi-join reduction + projection of the database.
-    val localRels: Vector[(Vector[Int], Array[Array[Long]])] = active.map { i =>
-      val projAttrs = rels(i).attrs.filter(attrSet.contains)
-      val projIdx   = projAttrs.map(a => colOf(i, a))
-      val base      = fullRows(i)
-      val rows =
-        if (rels(i).attrs.contains(anchor)) {
-          val c = colOf(i, anchor)
-          base.iterator.filter(t => sampleSet.contains(t(c)))
-            .map(t => projIdx.map(t).toArray).toArray
-        } else base.map(t => projIdx.map(t).toArray)
-      (projAttrs, rows)
+    val drawn = pool.indices.take(samples).map { i =>
+      val j = i + rnd.nextInt(pool.length - i)
+      val v = pool(j); pool(j) = pool(i); pool(i) = v
+      v
     }
-
-    // Local constrained Leapfrog per sample over the reduced database.
-    val ordAttrs = (anchor +: attrSet.toVector.filterNot(_ == anchor).sortBy { a =>
-      (-active.count(i => rels(i).attrs.contains(a)), a)
-    }).toArray
-    val lvl   = ordAttrs.zipWithIndex.toMap
-    val tries = localRels.map { case (attrs, rows) => TrieRelation.build(attrs, lvl, rows) }
 
     // Deviation from the paper (documented in DESIGN.md): each per-sample
     // constrained Leapfrog is stopped after `MaxExtensionsPerSample`
@@ -138,24 +118,20 @@ final class Sampler(spark: SparkSession, rels: IndexedSeq[Rel], val samples: Int
     // that preserves the order of magnitude the optimizer needs.
     val stats   = new LeapfrogStats(ordAttrs.length)
     val tLocal0 = System.nanoTime()
-    var total   = 0.0
-    drawn.foreach { a =>
+    val total   = drawn.map { a =>
       val lf    = new Leapfrog(tries, ordAttrs.length, firstFixed = Some(a), stats = stats)
       val start = stats.extensions
       var c     = 0L
       while (lf.hasNext && stats.extensions - start < MaxExtensionsPerSample) {
         lf.next(); c += 1
       }
-      total += c
-    }
-    val localSec = (System.nanoTime() - tLocal0) / 1e9
+      c
+    }.sum
     extensionsTotal += stats.extensions
-    extensionSecTotal += localSec
+    extensionSecTotal += (System.nanoTime() - tLocal0) / 1e9
 
-    val card = valCount.toDouble * (total / drawn.length)
-    val sec  = (System.nanoTime() - t0) / 1e9
-    wallSecTotal += sec
-    Estimate(card, valCount, anchor, sec)
+    wallSecTotal += (System.nanoTime() - t0) / 1e9
+    Estimate(valSet.size * (total.toDouble / drawn.length), valSet.size.toLong, anchor)
   }
 }
 
@@ -167,7 +143,6 @@ object Sampler {
   /** @param card    estimated cardinality of the (projected) join
     * @param valA    |val(A)| for the anchor attribute
     * @param anchor  the anchor attribute id
-    * @param wallSec wall time of this estimate
     */
-  final case class Estimate(card: Double, valA: Long, anchor: Int, wallSec: Double)
+  final case class Estimate(card: Double, valA: Long, anchor: Int)
 }

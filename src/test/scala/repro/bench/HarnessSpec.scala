@@ -39,6 +39,14 @@ class HarnessSpec extends SparkSpec {
     assert(r.totalSec > 0)
   }
 
+  test("runCase releases the graph it caches") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val r = Harness.runCase(spark, "WB", "Q1", Adj.CommunicationFirst, 300)
+    assert(r.failure.isEmpty && !r.timedOut, r.toString)
+    assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty, sc.getPersistentRDDs)
+  }
+
   test("co-optimization and communication-first agree on a tiny test-case") {
     val a = Harness.runCase(spark, "WB", "Q1", Adj.CoOptimization, 300, samples = 30)
     val b = Harness.runCase(spark, "WB", "Q1", Adj.CommunicationFirst, 300, samples = 30)

@@ -1,6 +1,12 @@
 package repro.core.catalyst
 
-import org.apache.spark.sql.{Row, SparkSession}
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 import repro.{Oracle, SparkSpec}
@@ -19,8 +25,36 @@ class AdjStrategySpec extends SparkSpec {
     s
   }
 
-  private def planString(df: org.apache.spark.sql.DataFrame): String =
+  private def planString(df: DataFrame): String =
     df.queryExecution.executedPlan.toString
+
+  /** The jobs that read ADJ's inputs while `df` is collected: `Adj.run`'s
+    * input counts and the sampler's collects, sorted by name.
+    */
+  private def inputJobs(df: DataFrame): Seq[String] = {
+    val sc   = adjSession.sparkContext
+    val jobs = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      // The result stage's name is the job's call site, e.g. "count at Adj.scala:82".
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        jobs.add(e.stageInfos.maxBy(_.stageId).name)
+    }
+    TestListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    try df.collect()
+    finally { TestListenerBus.drain(sc); sc.removeSparkListener(listener) }
+    jobs.asScala.toSeq.map(_.split(' ')).collect {
+      case Array(op, "at", site) if site.startsWith("Adj.scala") || site.startsWith("Sampler.scala") => op
+    }.sorted
+  }
+
+  /** Plans `sql` with `key` set to `value`, then restores the setting. */
+  private def planWith(key: String, value: String, sql: String): Unit = {
+    val old = adjSession.conf.getOption(key)
+    adjSession.conf.set(key, value)
+    try adjSession.sql(sql).queryExecution.executedPlan
+    finally old.fold(adjSession.conf.unset(key))(adjSession.conf.set(key, _))
+  }
 
   test("a 3-way equi-join is planned as AdjJoin") {
     val g = TestHelpers.randomGraph(nodes = 14, edges = 30, seed = 61)
@@ -124,5 +158,38 @@ class AdjStrategySpec extends SparkSpec {
     val df = adjSession.sql(sql("tagged_cat8", "edges_cat8"))
     assert(!planString(df).contains("AdjJoin"), planString(df))
     Oracle.assertEquivalent(df, sql("t", "e"), "t" -> tagged, "e" -> gdf)
+  }
+
+  test("identical leaves are read once, nondeterministic ones once each") {
+    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 69)
+    val gdf = SparkTestData.graphDf(adjSession, g)
+    gdf.createOrReplaceTempView("edges_self")
+    val df = adjSession.sql(SparkSqlJoin.sql(QueryLibrary.q1, "edges_self"))
+    assert(planString(df).contains("AdjJoin"), planString(df))
+    assert(inputJobs(df) == Seq("collect", "count"))
+    Oracle.assertEquivalent(df, SparkSqlJoin.sql(QueryLibrary.q1, "e"), "e" -> gdf)
+    // Each leaf draws its own rand() values, so the leaves are not equal.
+    adjSession.sql("SELECT * FROM edges_self WHERE rand(7) < 0.9").createOrReplaceTempView("edges_rand")
+    val rnd = adjSession.sql(SparkSqlJoin.sql(QueryLibrary.q1, "edges_rand"))
+    assert(planString(rnd).contains("AdjJoin"), planString(rnd))
+    assert(inputJobs(rnd) == Seq.fill(3)("collect") ++ Seq.fill(3)("count"))
+  }
+
+  test("a sampling budget below 1 is rejected") {
+    SparkTestData.graphDf(adjSession, TestHelpers.randomGraph(nodes = 12, edges = 24, seed = 70))
+      .createOrReplaceTempView("edges_samples")
+    val sql = SparkSqlJoin.sql(QueryLibrary.q1, "edges_samples")
+    Seq("0", "-3").foreach { n =>
+      val e = intercept[IllegalArgumentException](planWith("spark.repro.adj.samples", n, sql))
+      assert(e.getMessage.contains("samples"), e.getMessage)
+    }
+  }
+
+  test("an unknown strategy is rejected, naming the allowed values") {
+    SparkTestData.graphDf(adjSession, TestHelpers.randomGraph(nodes = 12, edges = 24, seed = 71))
+      .createOrReplaceTempView("edges_strat")
+    val e = intercept[IllegalArgumentException](
+      planWith("spark.repro.adj.strategy", "hcubej", SparkSqlJoin.sql(QueryLibrary.q1, "edges_strat")))
+    assert(Seq("co-optimization", "communication-first", "hcubej").forall(e.getMessage.contains), e.getMessage)
   }
 }

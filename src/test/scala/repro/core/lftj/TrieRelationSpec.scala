@@ -26,7 +26,6 @@ class TrieRelationSpec extends AnyFunSuite {
   test("build reorders columns to follow the attribute order") {
     // Input columns are (attr 1, attr 0); stored order must be (attr 0, attr 1).
     val t = TrieRelation.build(Seq(1, 0), ordPos, Seq(Array(5L, 1L), Array(6L, 2L)))
-    assert(t.attrs.toSeq == Seq(0, 1))
     assert(t.levels.toSeq == Seq(0, 1))
     assert(t.rows.map(_.toVector).toVector == Vector(Vector(1L, 5L), Vector(2L, 6L)))
   }
@@ -35,7 +34,6 @@ class TrieRelationSpec extends AnyFunSuite {
     val pos = Map(0 -> 4, 2 -> 1, 7 -> 3)
     val t = TrieRelation.build(Seq(0, 7, 2), pos, Seq(Array(1L, 2L, 3L)))
     // Sorted by ord position: attr 2 (pos 1), attr 7 (pos 3), attr 0 (pos 4).
-    assert(t.attrs.toSeq == Seq(2, 7, 0))
     assert(t.levels.toSeq == Seq(1, 3, 4))
     assert(t.rows.head.toVector == Vector(3L, 2L, 1L))
   }

@@ -2,8 +2,9 @@ package repro.core.sampling
 
 import repro.SparkSpec
 import repro.core.TestHelpers
+import repro.core.ghd.GHD
 import repro.core.hcube.Rel
-import repro.core.hypergraph.QueryLibrary
+import repro.core.hypergraph.{Hypergraph, QueryLibrary}
 
 class SamplerSpec extends SparkSpec {
 
@@ -100,5 +101,26 @@ class SamplerSpec extends SparkSpec {
     val sampler = new Sampler(spark, rels(q, g), samples = 10000)
     val est = sampler.estimateJoin(Set(q.attrId("a")), q.atoms.indices)
     assert(est.card == est.valA.toDouble)
+  }
+
+  test("estimates of every attribute subset and GHD bag of Q4-Q6 stay as pinned") {
+    // samples < |val(A)| for most keys, so which values the seeded draws
+    // pick from val(A) decides each estimate: a change to the draw order,
+    // the anchor or the semi-join moves these sums.
+    val g = TestHelpers.skewedGraph(nodes = 80, edges = 400, seed = 31)
+    def pinned(q: Hypergraph): (Double, Long, String) = {
+      val sampler = new Sampler(spark, rels(q, g), samples = 10)
+      val subsets = (1 to q.numAttrs).flatMap((0 until q.numAttrs).combinations)
+      val keys = subsets.map(s => (s.toSet, q.atoms.indices)) ++
+        GHD.decompose(q).nodes.filter(_.atomIdxs.length > 1).map(n => (n.attrs, n.atomIdxs))
+      val ests = keys.map { case (s, r) => sampler.estimateJoin(s, r) }
+      (ests.map(_.card).sum, ests.map(_.valA).sum, ests.map(_.anchor).mkString)
+    }
+    val qs = Seq(QueryLibrary.q4, QueryLibrary.q5, QueryLibrary.q6)
+    assert(qs.map(pinned) == Seq(
+      (187680.0, 1632L, "0123410041112441110441114111411024"),
+      (109871.99999999997, 1632L, "0123410341113431113431113111311023"),
+      (62049.600000000006, 1584L, "012341234111244111244111411141102"),
+    ))
   }
 }
