@@ -37,23 +37,40 @@ object HCube {
     def getPartition(key: Any): Int = key.asInstanceOf[Int]
   }
 
-  /** Linearized cube ids a tuple of relation `attrs` must reach under `p`. */
+  /** Linearized cube ids a tuple of relation `attrs` must reach under `p`,
+    * ascending.
+    */
   def cubesFor(attrs: Vector[Int], tuple: Array[Long], p: Array[Int]): Seq[Int] = {
     val n = p.length
     val coord = Array.fill(n)(-1)
     var i = 0
     while (i < attrs.length) { coord(attrs(i)) = hash(tuple(i), p(attrs(i))); i += 1 }
-    // Mixed-radix linearization over free dimensions.
-    var ids = List(0)
+    // Mixed-radix counter over the free dimensions, the last one fastest;
+    // `digit` holds the bound coordinates and the counter's free digits.
+    var count = 1
     var a = 0
-    while (a < n) {
-      val pa = p(a)
-      ids =
-        if (coord(a) >= 0) ids.map(_ * pa + coord(a))
-        else ids.flatMap(id => (0 until pa).map(id * pa + _))
-      a += 1
+    while (a < n) { if (coord(a) < 0) count *= p(a); a += 1 }
+    val digit = coord.map(math.max(_, 0))
+    val ids   = new Array[Int](count)
+    var k = 0
+    while (k < count) {
+      var id = 0
+      a = 0
+      while (a < n) { id = id * p(a) + digit(a); a += 1 }
+      ids(k) = id
+      var carry = true
+      a = n - 1
+      while (carry && a >= 0) {
+        if (coord(a) < 0) {
+          digit(a) += 1
+          carry = digit(a) == p(a)
+          if (carry) digit(a) = 0
+        }
+        a -= 1
+      }
+      k += 1
     }
-    ids
+    collection.immutable.ArraySeq.unsafeWrapArray(ids)
   }
 
   /** Block-wise ("Pull") shuffle (Sec. V): tuples of one relation headed for

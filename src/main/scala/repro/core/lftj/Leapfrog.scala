@@ -45,6 +45,10 @@ final class Leapfrog(
   private val partCol: Array[Array[Int]] = Array.tabulate(numLevels) { lvl =>
     partRel(lvl).map(r => rels(r).levels.indexOf(lvl))
   }
+  // Per participant, the column array it reads.
+  private val partVals: Array[Array[Array[Long]]] = Array.tabulate(numLevels) { lvl =>
+    partRel(lvl).zip(partCol(lvl)).map { case (r, d) => rels(r).cols(d) }
+  }
   require(partRel.forall(_.nonEmpty), "every level must be bound by some relation")
 
   // Ranges: for relation r, [lo, hi) after its first d columns are bound.
@@ -81,7 +85,7 @@ final class Leapfrog(
     * binds it; false once a cursor leaves its range.
     */
   private def search(lvl: Int): Boolean = {
-    val rs = partRel(lvl); val cs = partCol(lvl); val p = pos(lvl)
+    val rs = partRel(lvl); val cs = partCol(lvl); val col = partVals(lvl); val p = pos(lvl)
     var vmax  = Long.MinValue
     var agree = false
     while (!agree) {
@@ -89,17 +93,17 @@ final class Leapfrog(
       var i = 0
       while (i < p.length) {
         if (p(i) >= hi(rs(i))(cs(i))) return false
-        vmax = math.max(vmax, rels(rs(i)).rows(p(i))(cs(i)))
+        vmax = math.max(vmax, col(i)(p(i)))
         i += 1
       }
       agree = true
       i = 0
       while (i < p.length) {
-        val r = rels(rs(i)); val d = cs(i); val h = hi(rs(i))(d)
-        if (r.rows(p(i))(d) != vmax) {
-          p(i) = r.seekGE(d, p(i), h, vmax)
+        val d = cs(i); val h = hi(rs(i))(d)
+        if (col(i)(p(i)) != vmax) {
+          p(i) = rels(rs(i)).seekGE(d, p(i), h, vmax)
           if (p(i) >= h) return false
-          if (r.rows(p(i))(d) != vmax) agree = false
+          if (col(i)(p(i)) != vmax) agree = false
         }
         i += 1
       }

@@ -2,55 +2,59 @@ package repro.core.lftj
 
 import java.util.Comparator
 
-/** A relation laid out for Leapfrog triejoin: tuples sorted lexicographically
-  * with columns ordered by the global attribute order, so every column is
-  * sorted within any fixed-prefix range and the sorted array *is* the trie
-  * (level-d children of a prefix = the distinct values of column d in the
-  * prefix's row range). Duplicate tuples are kept as adjacent runs, so a
-  * full-depth range's length is the tuple's multiplicity.
+/** A relation laid out for Leapfrog triejoin, column by column: its tuples
+  * sorted lexicographically with columns ordered by the global attribute
+  * order, then stored as one array per column. Every column is sorted within
+  * any fixed-prefix range, so the columns *are* the trie (level-d children of
+  * a prefix = the distinct values of column d in the prefix's row range).
+  * Duplicate tuples are kept as adjacent runs, so a full-depth range's length
+  * is the tuple's multiplicity.
   *
   * @param levels  the global attribute-order positions this relation binds,
-  *                ascending; column d of `rows` holds the attribute at
-  *                global level `levels(d)`
-  * @param rows    lexicographically sorted tuples, duplicates included; the
-  *                columns after the first `levels.length` are carried but
-  *                not joined
+  *                ascending; column d holds the attribute at global level
+  *                `levels(d)`
+  * @param cols    one array per column, each in the tuples' sorted order,
+  *                duplicates included; the columns after the first
+  *                `levels.length` are carried but not joined
+  * @param size    the number of tuples, the length of every column
   */
 final class TrieRelation private (
     val levels: Array[Int],
-    val rows: Array[Array[Long]],
+    val cols: Array[Array[Long]],
+    val size: Int,
 ) {
   def arity: Int = levels.length
-  def size: Int  = rows.length
 
-  /** The same rows as a trie over their first `levels.length` columns: its
+  /** The same tuples as a trie over their first `levels.length` columns: its
     * prefix is the projection onto them, with duplicates as runs.
     */
-  def atLevels(levels: Array[Int]): TrieRelation = new TrieRelation(levels, rows)
+  def atLevels(levels: Array[Int]): TrieRelation = new TrieRelation(levels, cols, size)
 
   /** First row index in [from, hi) whose column `d` is >= v (the prefix
-    * above column d must be constant over [from, hi)).
+    * above column d must be constant over [from, hi)). Gallops from `from`:
+    * probes `from`, then `from + 1, 2, 4, …` below `hi`, and binary-searches
+    * the last bracket, so a seek costs log₂ of the distance it moves.
     */
   def seekGE(d: Int, from: Int, hi: Int, v: Long): Int = {
-    var lo = from; var h = hi
+    val c = cols(d)
+    if (from >= hi || c(from) >= v) return from
+    // c(lo) < v, and h is hi or a row whose value is >= v.
+    var lo = from; var step = 1
+    while (step < hi - from && c(from + step) < v) { lo = from + step; step <<= 1 }
+    var h = math.min(from + step, hi)
+    lo += 1
     while (lo < h) {
       val mid = (lo + h) >>> 1
-      if (rows(mid)(d) < v) lo = mid + 1 else h = mid
+      if (c(mid) < v) lo = mid + 1 else h = mid
     }
     lo
   }
 
   /** End (exclusive) of the run of rows with column `d` == v starting at
-    * `from` within [from, hi).
+    * `from` within [from, hi): the first row above v, found by galloping.
     */
-  def equalRangeEnd(d: Int, from: Int, hi: Int, v: Long): Int = {
-    var lo = from; var h = hi
-    while (lo < h) {
-      val mid = (lo + h) >>> 1
-      if (rows(mid)(d) <= v) lo = mid + 1 else h = mid
-    }
-    lo
-  }
+  def equalRangeEnd(d: Int, from: Int, hi: Int, v: Long): Int =
+    if (v == Long.MaxValue) hi else seekGE(d, from, hi, v + 1)
 }
 
 object TrieRelation {
@@ -77,6 +81,13 @@ object TrieRelation {
       c
     }
     java.util.Arrays.sort(arr, cmp)
-    new TrieRelation(levels, arr)
+    val cols = Array.ofDim[Long](k, arr.length)
+    var j = 0
+    while (j < arr.length) {
+      var i = 0
+      while (i < k) { cols(i)(j) = arr(j)(i); i += 1 }
+      j += 1
+    }
+    new TrieRelation(levels, cols, arr.length)
   }
 }

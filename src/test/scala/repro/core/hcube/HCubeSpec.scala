@@ -35,6 +35,15 @@ class HCubeSpec extends SparkSpec {
     assert(cubes.head >= 0 && cubes.head < p.product)
   }
 
+  test("cubesFor lists the cube ids in mixed-radix order over two free dimensions") {
+    // Dims 1 and 3 are bound by the tuple (hash(2, 3) = 2, hash(3, 2) = 1);
+    // dims 0 and 2 are free. Strides are 12, 4, 2, 1; the last free dim
+    // counts fastest.
+    val p = Array(3, 3, 2, 2)
+    assert(HCube.hash(2L, 3) == 2 && HCube.hash(3L, 2) == 1)
+    assert(HCube.cubesFor(Vector(1, 3), Array(2L, 3L), p) == Seq(9, 11, 21, 23, 33, 35))
+  }
+
   test("cubesFor covers every output coordinate exactly once per tuple pair") {
     // For any joinable pair (t of R(a,b), s of S(b,c)), there must exist
     // exactly one cube receiving both.

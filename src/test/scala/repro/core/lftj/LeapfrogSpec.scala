@@ -159,6 +159,27 @@ class LeapfrogSpec extends AnyFunSuite {
     assert(fixed.levelCounts.toSeq == stats.levelCounts.toSeq)
   }
 
+  test("Q4 and Q6 in their co-optimized orders keep their exact extension and level counts") {
+    // The modal plans' orders of as-q4-sql and as-q6-coopt (attribute ids by
+    // level), on the graph of the Q5 pin above.
+    val g = TestHelpers.randomGraph(nodes = 30, edges = 160, seed = 53)
+    val cases = Seq(
+      (QueryLibrary.q4, Seq(1, 4, 0, 3, 2), 32778L, Seq(30L, 260L, 636L, 6338L, 25514L)),
+      (QueryLibrary.q6, Seq(1, 4, 0, 2, 3), 4310L, Seq(30L, 260L, 636L, 2044L, 1340L)),
+    )
+    for ((q, ord, extensions, levelCounts) <- cases) {
+      val lvl = ord.zipWithIndex.toMap
+      val tries = q.atoms.indices.map { i =>
+        TrieRelation.build(q.atoms(i).attrs.map(q.attrId), lvl, TestHelpers.bindGraph(q, g)(i))
+      }
+      val stats = new LeapfrogStats(q.numAttrs)
+      val rows  = new Leapfrog(tries, q.numAttrs, stats = stats).countAll()
+      assert(stats.extensions == extensions, ord)
+      assert(stats.levelCounts.toSeq == levelCounts, ord)
+      assert(rows == levelCounts.last, ord)
+    }
+  }
+
   test("every level must be bound by some relation") {
     val lvl = Map(0 -> 0, 1 -> 1, 2 -> 2)
     val tries = IndexedSeq(
