@@ -17,11 +17,13 @@ final class LeapfrogStats(n: Int) extends Serializable {
   * (position in ord); callers reorder to attribute-id order as needed.
   *
   * Each participant of a level is one cursor, a row inside its relation's
-  * current range. The leapfrog search seeks the cursors up to their largest
-  * value until they agree; binding that value narrows every participant's
-  * range one level down to the run of rows holding it, and moves the cursor
-  * past the run. Every distinct binding is emitted once; a duplicated input
-  * tuple is a run of length > 1 at full depth, counted by [[multiplicity]].
+  * current range. The leapfrog search is Veldhuizen's rotation: it visits
+  * the cursors round-robin and gallops each one to the largest value seen so
+  * far, which rises whenever a seek overshoots, until all of them agree in a
+  * row. Binding that value narrows every participant's range one level down
+  * to the run of rows holding it, and moves the cursor past the run. Every
+  * distinct binding is emitted once; a duplicated input tuple is a run of
+  * length > 1 at full depth, counted by [[multiplicity]].
   *
   * @param rels        the relations; each participates at the levels it binds
   * @param numLevels   |attrs(Q)| — the number of global levels
@@ -64,8 +66,10 @@ final class Leapfrog(
     }
   }
 
-  // pos(lvl)(i): the cursor of participant i of level lvl.
+  // pos(lvl)(i): the cursor of participant i of level lvl; end(lvl)(i): the
+  // end of its range, copied from `hi` when the level is opened.
   private val pos     = partRel.map(rs => new Array[Int](rs.length))
+  private val end     = partRel.map(rs => new Array[Int](rs.length))
   private val binding = new Array[Long](numLevels)
   private var level   = 0
   private var nextRow: Array[Long] = _
@@ -76,37 +80,37 @@ final class Leapfrog(
 
   /** Puts the cursors of `lvl` at the start of their ranges. */
   private def open(lvl: Int): Unit = {
-    val rs = partRel(lvl); val cs = partCol(lvl); val p = pos(lvl)
+    val rs = partRel(lvl); val cs = partCol(lvl); val p = pos(lvl); val e = end(lvl)
     var i = 0
-    while (i < p.length) { p(i) = lo(rs(i))(cs(i)); i += 1 }
+    while (i < p.length) { p(i) = lo(rs(i))(cs(i)); e(i) = hi(rs(i))(cs(i)); i += 1 }
   }
 
-  /** Moves the cursors of `lvl` forward to the next value they all hold and
-    * binds it; false once a cursor leaves its range.
+  /** Moves the cursors of `lvl` forward to the least value they all hold and
+    * binds it; false once a cursor leaves its range. Visits the cursors
+    * round-robin: one at `vmax` agrees, any other gallops to it, and a landing
+    * above raises `vmax` and restarts the count of agreeing cursors.
     */
   private def search(lvl: Int): Boolean = {
-    val rs = partRel(lvl); val cs = partCol(lvl); val col = partVals(lvl); val p = pos(lvl)
-    var vmax  = Long.MinValue
-    var agree = false
-    while (!agree) {
-      // Find the max of the current values; then seek everyone up to it.
-      var i = 0
-      while (i < p.length) {
-        if (p(i) >= hi(rs(i))(cs(i))) return false
-        vmax = math.max(vmax, col(i)(p(i)))
-        i += 1
+    val col = partVals(lvl); val p = pos(lvl); val e = end(lvl); val k = p.length
+    var vmax = Long.MinValue
+    var i = 0
+    while (i < k) {
+      if (p(i) >= e(i)) return false
+      vmax = math.max(vmax, col(i)(p(i)))
+      i += 1
+    }
+    var agree = 0
+    i = 0
+    while (agree < k) {
+      val c = col(i)
+      if (c(p(i)) != vmax) {
+        p(i) = TrieRelation.gallop(c, p(i), e(i), vmax)
+        if (p(i) >= e(i)) return false
+        if (c(p(i)) != vmax) { vmax = c(p(i)); agree = 0 }
       }
-      agree = true
-      i = 0
-      while (i < p.length) {
-        val d = cs(i); val h = hi(rs(i))(d)
-        if (col(i)(p(i)) != vmax) {
-          p(i) = rels(rs(i)).seekGE(d, p(i), h, vmax)
-          if (p(i) >= h) return false
-          if (col(i)(p(i)) != vmax) agree = false
-        }
-        i += 1
-      }
+      agree += 1
+      i += 1
+      if (i == k) i = 0
     }
     binding(lvl) = vmax
     true
@@ -116,12 +120,12 @@ final class Leapfrog(
     * bound value at its cursor, and moves the cursor past the run.
     */
   private def bind(lvl: Int): Unit = {
-    val rs = partRel(lvl); val cs = partCol(lvl); val p = pos(lvl)
+    val rs = partRel(lvl); val cs = partCol(lvl); val p = pos(lvl); val e = end(lvl)
     var i = 0
     while (i < p.length) {
       val r = rs(i); val d = cs(i)
       lo(r)(d + 1) = p(i)
-      p(i) = rels(r).equalRangeEnd(d, p(i), hi(r)(d), binding(lvl))
+      p(i) = rels(r).equalRangeEnd(d, p(i), e(i), binding(lvl))
       hi(r)(d + 1) = p(i)
       i += 1
     }

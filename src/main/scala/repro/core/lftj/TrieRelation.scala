@@ -31,12 +31,26 @@ final class TrieRelation private (
   def atLevels(levels: Array[Int]): TrieRelation = new TrieRelation(levels, cols, size)
 
   /** First row index in [from, hi) whose column `d` is >= v (the prefix
-    * above column d must be constant over [from, hi)). Gallops from `from`:
-    * probes `from`, then `from + 1, 2, 4, …` below `hi`, and binary-searches
-    * the last bracket, so a seek costs log₂ of the distance it moves.
+    * above column d must be constant over [from, hi)); see [[TrieRelation.gallop]].
     */
-  def seekGE(d: Int, from: Int, hi: Int, v: Long): Int = {
-    val c = cols(d)
+  def seekGE(d: Int, from: Int, hi: Int, v: Long): Int = TrieRelation.gallop(cols(d), from, hi, v)
+
+  /** End (exclusive) of the run of rows with column `d` == v starting at
+    * `from` within [from, hi): the first row above v, found by galloping.
+    */
+  def equalRangeEnd(d: Int, from: Int, hi: Int, v: Long): Int =
+    if (v == Long.MaxValue) hi else TrieRelation.gallop(cols(d), from, hi, v + 1)
+}
+
+object TrieRelation {
+
+  /** First index in [from, hi) of the column `c` whose value is >= v, or `hi`
+    * if there is none; `c` must be sorted over [from, hi). Gallops from
+    * `from`: probes `from`, then `from + 1, 2, 4, …` below `hi`, and
+    * binary-searches the last bracket, so a seek costs log₂ of the distance
+    * it moves. The one search primitive of the trie and of Leapfrog.
+    */
+  def gallop(c: Array[Long], from: Int, hi: Int, v: Long): Int = {
     if (from >= hi || c(from) >= v) return from
     // c(lo) < v, and h is hi or a row whose value is >= v.
     var lo = from; var step = 1
@@ -49,15 +63,6 @@ final class TrieRelation private (
     }
     lo
   }
-
-  /** End (exclusive) of the run of rows with column `d` == v starting at
-    * `from` within [from, hi): the first row above v, found by galloping.
-    */
-  def equalRangeEnd(d: Int, from: Int, hi: Int, v: Long): Int =
-    if (v == Long.MaxValue) hi else seekGE(d, from, hi, v + 1)
-}
-
-object TrieRelation {
 
   /** Builds a trie relation.
     *

@@ -1,0 +1,65 @@
+package repro.core.lftj
+
+import repro.core.hcube.{HCube, Shares}
+import repro.core.hypergraph.{Hypergraph, QueryLibrary}
+import repro.data.GraphData
+
+/** Microbenchmark of the Leapfrog kernel alone, on one thread, without Spark:
+  * routes the AS graph (seed 12) to the hypercubes of `Shares.optimize` with
+  * a budget of 4, builds every cube's tries once, and times Leapfrog over all
+  * cubes for Q5 (textual order, as communication-first runs it), Q4 and Q6
+  * (the co-optimized orders of the benchmark's modal plans, over the raw
+  * atoms). Prints, per query, the median and range of the repetitions and
+  * the summed rows, extensions and level counts, which must not change with
+  * a kernel change.
+  *
+  * {{{
+  * sbt "Test/runMain repro.core.lftj.LeapfrogBench"
+  * }}}
+  */
+object LeapfrogBench {
+
+  private val Budget = 4
+  private val Reps   = 5
+
+  def main(args: Array[String]): Unit = {
+    val spec  = GraphData.as_
+    val edges = GraphData.scaleFreeEdges(spec.nodes, spec.m, spec.closure, spec.seed)
+      .flatMap { case (u, v) => Seq(Array(u, v), Array(v, u)) }
+    println(s"LeapfrogBench: ${spec.name} seed ${spec.seed}, ${edges.length} edge rows, budget $Budget, $Reps reps")
+    for ((name, q, ord) <- Seq(
+        ("Q5", QueryLibrary.q5, Array(0, 1, 2, 3, 4)),
+        ("Q4", QueryLibrary.q4, Array(1, 4, 0, 3, 2)),
+        ("Q6", QueryLibrary.q6, Array(1, 4, 0, 2, 3)))) {
+      val cubes = tries(q, ord, edges)
+      val runs = (1 to Reps).map { _ =>
+        val stats = new LeapfrogStats(ord.length)
+        var rows  = 0L
+        val t0    = System.nanoTime()
+        cubes.foreach { ts =>
+          val lf = new Leapfrog(ts, ord.length, stats = stats)
+          while (lf.hasNext) { lf.next(); rows += lf.multiplicity }
+        }
+        ((System.nanoTime() - t0) / 1e9, rows, stats)
+      }
+      val secs = runs.map(_._1).sorted
+      val (_, rows, stats) = runs.head
+      require(runs.forall(r => r._2 == rows && r._3.extensions == stats.extensions &&
+        r._3.levelCounts.sameElements(stats.levelCounts)), s"$name: counts differ between repetitions")
+      println(f"$name ord=${ord.mkString(",")} cubes=${cubes.length} median=${secs(secs.length / 2)}%.3f s " +
+        f"[${secs.head}%.3f, ${secs.last}%.3f] rows=$rows extensions=${stats.extensions} " +
+        s"levels=${stats.levelCounts.mkString(",")}")
+    }
+  }
+
+  /** The tries of every non-empty hypercube, relations in atom order. */
+  private def tries(q: Hypergraph, ord: Array[Int], edges: Seq[Array[Long]]): Seq[IndexedSeq[TrieRelation]] = {
+    val attrs   = q.atoms.map(_.attrs.map(q.attrId))
+    val p       = Shares.optimize(attrs.map(a => (a.toSet, edges.length.toLong)), q.numAttrs, Budget).p
+    val perCube = Array.fill(p.product, attrs.length)(Vector.newBuilder[Array[Long]])
+    for (ri <- attrs.indices; t <- edges; c <- HCube.cubesFor(attrs(ri), t, p)) perCube(c)(ri) += t
+    val lvl = ord.zipWithIndex.toMap
+    perCube.toSeq.map(_.map(_.result())).filter(_.forall(_.nonEmpty))
+      .map(rs => rs.indices.map(ri => TrieRelation.build(attrs(ri), lvl, rs(ri))))
+  }
+}

@@ -180,6 +180,58 @@ class LeapfrogSpec extends AnyFunSuite {
     }
   }
 
+  test("property (scalacheck): rows, multiplicities and level counts equal a naive oracle for every order") {
+    // Ascending, so the oracle lists prefixes in Leapfrog's emission order.
+    val domain = Vector(Long.MinValue, -1L, 0L, 1L, Long.MaxValue)
+    val seen   = collection.mutable.Set.empty[String]
+    val prop = Prop.forAll(org.scalacheck.Gen.choose(0L, Long.MaxValue)) { seed =>
+      val rnd = new scala.util.Random(seed)
+      val n   = 2 + rnd.nextInt(4)
+      // 2–3-ary atoms over distinct attributes until every attribute is bound.
+      val atoms = Iterator.iterate((Vector.empty[Vector[Int]], Set.empty[Int])) { case (as, covered) =>
+        val a = rnd.shuffle((0 until n).toVector).take(2 + rnd.nextInt(math.min(2, n - 1)))
+        (as :+ a, covered ++ a)
+      }.dropWhile(_._2.size < n).next()._1
+      // Few tuples over a tiny domain, so duplicates are common; sometimes none.
+      val data = atoms.map(a => Vector.fill(rnd.nextInt(9))(Array.fill(a.length)(domain(rnd.nextInt(domain.length)))))
+      val ord  = rnd.shuffle((0 until n).toVector)
+      val lvl  = ord.zipWithIndex.toMap
+      val firstFixed = if (rnd.nextInt(3) == 0) Some((domain :+ 2L)(rnd.nextInt(domain.length + 1))) else None
+
+      val stats = new LeapfrogStats(n)
+      val lf    = new Leapfrog(atoms.indices.map(i => TrieRelation.build(atoms(i), lvl, data(i))), n, firstFixed, stats)
+      val got   = lf.map(row => (row.toVector, lf.multiplicity)).toVector
+
+      // A prefix over levels 0..l survives if every relation binding one of
+      // those levels has a tuple agreeing with it there.
+      def agrees(prefix: Vector[Long]): Boolean = atoms.indices.forall { i =>
+        val bound = atoms(i).indices.filter(j => lvl(atoms(i)(j)) < prefix.length)
+        bound.isEmpty || data(i).exists(t => bound.forall(j => t(j) == prefix(lvl(atoms(i)(j)))))
+      }
+      val prefixes = (1 until n).scanLeft(firstFixed.fold(domain)(Vector(_)).map(Vector(_)).filter(agrees)) {
+        (ps, _) => for (p <- ps; v <- domain if agrees(p :+ v)) yield p :+ v
+      }
+      // The bag join: each full binding once per combination of equal tuples.
+      val expected = prefixes.last.map { b =>
+        b -> atoms.indices.map(i => data(i).count(t => t.indices.forall(j => t(j) == b(lvl(atoms(i)(j))))).toLong).product
+      }
+
+      val parts = (0 until n).map(l => atoms.count(_.exists(lvl(_) == l)))
+      if (parts.contains(1)) seen += "single participant"
+      if (atoms.exists(_.map(lvl).min > 0)) seen += "whole-relation participant"
+      if (firstFixed.nonEmpty) seen += "firstFixed"
+      if (atoms.exists(_.length == 3)) seen += "ternary atom"
+      if (data.exists(_.isEmpty)) seen += "empty relation"
+      if (got.exists(_._2 > 1)) seen += "multiplicity > 1"
+      if (got.exists(_._1.contains(Long.MaxValue)) && got.exists(_._1.contains(Long.MinValue))) seen += "extreme values"
+      got == expected && stats.levelCounts.toSeq == prefixes.map(_.length.toLong) &&
+        stats.extensions == prefixes.map(_.length.toLong).sum
+    }
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
+    assert(seen.size == 7, seen)
+  }
+
   test("every level must be bound by some relation") {
     val lvl = Map(0 -> 0, 1 -> 1, 2 -> 2)
     val tries = IndexedSeq(
