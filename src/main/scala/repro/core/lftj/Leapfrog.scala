@@ -18,12 +18,13 @@ final class LeapfrogStats(n: Int) extends Serializable {
   *
   * Each participant of a level is one cursor, a row inside its relation's
   * current range. The leapfrog search is Veldhuizen's rotation: it visits
-  * the cursors round-robin and gallops each one to the largest value seen so
+  * the cursors round-robin and seeks each one to the largest value seen so
   * far, which rises whenever a seek overshoots, until all of them agree in a
-  * row. Binding that value narrows every participant's range one level down
-  * to the run of rows holding it, and moves the cursor past the run. Every
-  * distinct binding is emitted once; a duplicated input tuple is a run of
-  * length > 1 at full depth, counted by [[multiplicity]].
+  * row. A cursor on a column 0 with offsets seeks by one offsets read; every
+  * other cursor gallops. Binding that value narrows every participant's
+  * range one level down to the run of rows holding it, and moves the cursor
+  * past the run. Every distinct binding is emitted once; a duplicated input
+  * tuple is a run of length > 1 at full depth, counted by [[multiplicity]].
   *
   * @param rels        the relations; each participates at the levels it binds
   * @param numLevels   |attrs(Q)| — the number of global levels
@@ -50,6 +51,11 @@ final class Leapfrog(
   // Per participant, the column array it reads.
   private val partVals: Array[Array[Array[Long]]] = Array.tabulate(numLevels) { lvl =>
     partRel(lvl).zip(partCol(lvl)).map { case (r, d) => rels(r).cols(d) }
+  }
+  // Per participant, its relation if it reads a column 0 with offsets, else
+  // null: it gallops.
+  private val partDense: Array[Array[TrieRelation]] = Array.tabulate(numLevels) { lvl =>
+    partRel(lvl).zip(partCol(lvl)).map { case (r, d) => if (d == 0 && rels(r).offsets != null) rels(r) else null }
   }
   require(partRel.forall(_.nonEmpty), "every level must be bound by some relation")
 
@@ -87,11 +93,11 @@ final class Leapfrog(
 
   /** Moves the cursors of `lvl` forward to the least value they all hold and
     * binds it; false once a cursor leaves its range. Visits the cursors
-    * round-robin: one at `vmax` agrees, any other gallops to it, and a landing
+    * round-robin: one at `vmax` agrees, any other seeks to it, and a landing
     * above raises `vmax` and restarts the count of agreeing cursors.
     */
   private def search(lvl: Int): Boolean = {
-    val col = partVals(lvl); val p = pos(lvl); val e = end(lvl); val k = p.length
+    val col = partVals(lvl); val dense = partDense(lvl); val p = pos(lvl); val e = end(lvl); val k = p.length
     var vmax = Long.MinValue
     var i = 0
     while (i < k) {
@@ -104,7 +110,8 @@ final class Leapfrog(
     while (agree < k) {
       val c = col(i)
       if (c(p(i)) != vmax) {
-        p(i) = TrieRelation.gallop(c, p(i), e(i), vmax)
+        val t = dense(i)
+        p(i) = if (t == null) TrieRelation.gallop(c, p(i), e(i), vmax) else t.seekGE(0, p(i), e(i), vmax)
         if (p(i) >= e(i)) return false
         if (c(p(i)) != vmax) { vmax = c(p(i)); agree = 0 }
       }

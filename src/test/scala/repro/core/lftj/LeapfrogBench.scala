@@ -6,12 +6,18 @@ import repro.data.GraphData
 
 /** Microbenchmark of the Leapfrog kernel alone, on one thread, without Spark:
   * routes the AS graph (seed 12) to the hypercubes of `Shares.optimize` with
-  * a budget of 4, builds every cube's tries once, and times Leapfrog over all
+  * a budget of 4, builds every cube's tries once (and times as many
+  * rebuilds as repetitions), and times Leapfrog over all
   * cubes for Q5 (textual order, as communication-first runs it), Q4 and Q6
   * (the co-optimized orders of the benchmark's modal plans, over the raw
-  * atoms). Prints, per query, the median and range of the repetitions and
-  * the summed rows, extensions and level counts, which must not change with
-  * a kernel change.
+  * atoms). Prints, per query:
+  *  - the median and range of the repetitions, and the summed rows,
+  *    extensions and level counts, which must not change with a kernel change;
+  *  - the median seconds to route the graph and build the tries, offsets
+  *    included;
+  *  - per level, its participants: the atom, the column read, the layout of
+  *    its seeks (`offsets` in how many cubes, else `gallop`) and the summed
+  *    rows of its tries.
   *
   * {{{
   * sbt "Test/runMain repro.core.lftj.LeapfrogBench"
@@ -32,6 +38,11 @@ object LeapfrogBench {
         ("Q4", QueryLibrary.q4, Array(1, 4, 0, 3, 2)),
         ("Q6", QueryLibrary.q6, Array(1, 4, 0, 2, 3)))) {
       val cubes = tries(q, ord, edges)
+      val buildSecs = (1 to Reps).map { _ =>
+        val t0 = System.nanoTime()
+        tries(q, ord, edges)
+        (System.nanoTime() - t0) / 1e9
+      }.sorted
       val runs = (1 to Reps).map { _ =>
         val stats = new LeapfrogStats(ord.length)
         var rows  = 0L
@@ -49,6 +60,17 @@ object LeapfrogBench {
       println(f"$name ord=${ord.mkString(",")} cubes=${cubes.length} median=${secs(secs.length / 2)}%.3f s " +
         f"[${secs.head}%.3f, ${secs.last}%.3f] rows=$rows extensions=${stats.extensions} " +
         s"levels=${stats.levelCounts.mkString(",")}")
+      println(f"  route+build median=${buildSecs(Reps / 2)}%.3f s")
+      for (lvl <- ord.indices) {
+        val parts = cubes.head.indices.filter(ri => cubes.head(ri).levels.contains(lvl)).map { ri =>
+          val ts     = cubes.map(_(ri))
+          val col    = ts.head.levels.indexOf(lvl)
+          val dense  = if (col == 0) ts.count(_.offsets != null) else 0
+          val layout = if (dense == 0) "gallop" else s"offsets $dense/${ts.length}"
+          s"R${ri + 1} col $col $layout rows=${ts.map(_.size.toLong).sum}"
+        }
+        println(s"  L$lvl: ${parts.mkString("; ")}")
+      }
     }
   }
 

@@ -232,6 +232,59 @@ class LeapfrogSpec extends AnyFunSuite {
     assert(seen.size == 7, seen)
   }
 
+  test("property (scalacheck): over a dense domain, offsets-served and galloping cursors equal a naive oracle") {
+    // Values 0..7, so most relations get offsets on column 0; a relation with
+    // a tuple of Outlier values has none and its column-0 cursor gallops.
+    val Outlier = 1000L
+    val domain  = (0L to 7L).toVector :+ Outlier
+    val seen    = collection.mutable.Set.empty[String]
+    val prop = Prop.forAll(org.scalacheck.Gen.choose(0L, Long.MaxValue)) { seed =>
+      val rnd = new scala.util.Random(seed)
+      val n   = 2 + rnd.nextInt(3)
+      val atoms = Iterator.iterate((Vector.empty[Vector[Int]], Set.empty[Int])) { case (as, covered) =>
+        val a = rnd.shuffle((0 until n).toVector).take(2 + rnd.nextInt(math.min(2, n - 1)))
+        (as :+ a, covered ++ a)
+      }.dropWhile(_._2.size < n).next()._1
+      val outlierAtom = if (rnd.nextInt(3) == 0) rnd.nextInt(atoms.length) else -1
+      val data = atoms.indices.map { i =>
+        val ts = Vector.fill(rnd.nextInt(13))(Array.fill(atoms(i).length)(rnd.nextInt(8).toLong))
+        if (i == outlierAtom) ts :+ Array.fill(atoms(i).length)(Outlier) else ts
+      }
+      val ord  = rnd.shuffle((0 until n).toVector)
+      val lvl  = ord.zipWithIndex.toMap
+      val firstFixed = if (rnd.nextInt(2) == 0) Some(rnd.nextInt(9).toLong) else None
+
+      val tries = atoms.indices.map(i => TrieRelation.build(atoms(i), lvl, data(i)))
+      val stats = new LeapfrogStats(n)
+      val lf    = new Leapfrog(tries, n, firstFixed, stats)
+      val got   = lf.map(row => (row.toVector, lf.multiplicity)).toVector
+
+      // The oracle of the property above, over this domain.
+      def agrees(prefix: Vector[Long]): Boolean = atoms.indices.forall { i =>
+        val bound = atoms(i).indices.filter(j => lvl(atoms(i)(j)) < prefix.length)
+        bound.isEmpty || data(i).exists(t => bound.forall(j => t(j) == prefix(lvl(atoms(i)(j)))))
+      }
+      val prefixes = (1 until n).scanLeft(firstFixed.fold(domain)(Vector(_)).map(Vector(_)).filter(agrees)) {
+        (ps, _) => for (p <- ps; v <- domain if agrees(p :+ v)) yield p :+ v
+      }
+      val expected = prefixes.last.map { b =>
+        b -> atoms.indices.map(i => data(i).count(t => t.indices.forall(j => t(j) == b(lvl(atoms(i)(j))))).toLong).product
+      }
+
+      // Every non-empty relation is a participant on column 0 at its first level.
+      val dense = tries.filter(_.size > 0).groupBy(_.offsets != null)
+      if (dense.contains(true)) seen += "offsets-served participant"
+      if (dense.contains(false)) seen += "galloping column-0 participant"
+      if (firstFixed.nonEmpty && tries.exists(t => t.levels(0) == 0 && t.offsets != null)) seen += "firstFixed on offsets"
+      if (got.exists(_._2 > 1)) seen += "multiplicity > 1"
+      got == expected && stats.levelCounts.toSeq == prefixes.map(_.length.toLong) &&
+        stats.extensions == prefixes.map(_.length.toLong).sum
+    }
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
+    assert(seen.size == 4, seen)
+  }
+
   test("every level must be bound by some relation") {
     val lvl = Map(0 -> 0, 1 -> 1, 2 -> 2)
     val tries = IndexedSeq(

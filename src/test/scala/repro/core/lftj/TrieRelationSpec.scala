@@ -62,6 +62,65 @@ class TrieRelationSpec extends AnyFunSuite {
     assert(t.seekGE(0, 0, 0, 5L) == 0)
   }
 
+  test("column 0 gets offsets only when its span is at most twice its size") {
+    def t(c0: Long*) = TrieRelation.build(Seq(0, 1), ordPos, c0.map(v => Array(v, 0L)))
+    // An edge relation's CSR offsets: the first row of each value, 3 absent.
+    assert(t(1L, 1L, 2L, 4L).offsets.toSeq == Seq(0, 2, 3, 3))
+    assert(t(-3L, -3L, -2L).offsets.toSeq == Seq(0, 2))
+    assert(t(0L, 3L).offsets.toSeq == Seq(0, 1, 1, 1))
+    assert(t(0L, 4L).offsets == null)
+    assert(t(Long.MinValue, Long.MaxValue).offsets == null)
+    assert(TrieRelation.build(Seq(0, 1), ordPos, Seq.empty).offsets == null)
+  }
+
+  test("atLevels shares the columns and the offsets of its source") {
+    val t = TrieRelation.build(Seq(0, 1, 2), ordPos, Seq(Array(1L, 2L, 3L), Array(2L, 1L, 1L)))
+    val v = t.atLevels(Array(0, 1))
+    assert(t.offsets != null)
+    assert(v.offsets eq t.offsets)
+    assert(v.cols eq t.cols)
+    assert(v.seekGE(0, 0, v.size, 2L) == 1)
+  }
+
+  test("property (scalacheck): column-0 seeks equal a linear scan with and without offsets") {
+    // Column-0 values of one of three shapes: dense from a base that may be
+    // negative; a span of exactly 2·size or 2·size + 1; or both ends of Long.
+    val column = Gen.choose(2, 12).flatMap { n =>
+      def around(lo: Long, hi: Long) = Gen.listOfN(n - 2, Gen.choose(lo, hi)).map(lo +: hi +: _)
+      Gen.oneOf(
+        Gen.choose(-20L, 20L).flatMap(b => Gen.listOfN(n, Gen.choose(b, b + n))),
+        Gen.zip(Gen.choose(-20L, 20L), Gen.choose(0, 1)).flatMap { case (b, extra) => around(b, b + 2L * n - 1 + extra) },
+        around(Long.MinValue, Long.MaxValue),
+      )
+    }
+    val seen = collection.mutable.Set.empty[String]
+    val prop = Prop.forAll(column) { c0 =>
+      val t   = TrieRelation.build(Seq(0, 1), ordPos, c0.map(v => Array(v, -v)))
+      val c   = t.cols(0)
+      val min = c.head; val max = c.last
+      val span = BigInt(max) - BigInt(min) + 1
+      val dense = t.offsets != null
+      seen += (if (dense) "offsets" else "no offsets")
+      if (dense && min < 0) seen += "negative min0"
+      if (span == 2 * t.size) seen += s"span 2·size, offsets $dense"
+      if (span == 2 * t.size + 1) seen += s"span 2·size + 1, offsets $dense"
+      if (min == Long.MinValue && max == Long.MaxValue) seen += s"whole Long range, offsets $dense"
+      val probes = (c.toSeq.flatMap(v => Seq(v - 1, v, v + 1)) ++ Seq(Long.MinValue, Long.MaxValue)).distinct
+      if (probes.exists(_ < min)) seen += "probe below min0"
+      if (probes.exists(_ > max)) seen += "probe above max0"
+      def scan(from: Int, hi: Int)(p: Long => Boolean) = (from until hi).find(j => p(c(j))).getOrElse(hi)
+      val seeks = for (from <- 0 to t.size; hi <- from to t.size; v <- probes) yield
+        t.seekGE(0, from, hi, v) == scan(from, hi)(_ >= v) && t.equalRangeEnd(0, from, hi, v) == scan(from, hi)(_ > v)
+      // The offsets cost no more than column 0: an Int per value, a Long per row.
+      dense == (span <= 2 * t.size) && (!dense || 4L * t.offsets.length <= 8L * t.size) && seeks.forall(identity)
+    }
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, res.status.toString)
+    assert(seen == Set("offsets", "no offsets", "negative min0", "span 2·size, offsets true",
+      "span 2·size + 1, offsets false", "whole Long range, offsets false", "probe below min0",
+      "probe above max0"), seen)
+  }
+
   test("arity matches the number of columns") {
     val t = TrieRelation.build(Seq(0, 1, 2), ordPos, Seq(Array(1L, 2L, 3L)))
     assert(t.arity == 3)
