@@ -75,24 +75,33 @@ object HCube {
 
   /** Block-wise ("Pull") shuffle (Sec. V): tuples of one relation headed for
     * one cube are grouped into a single block before crossing the wire, so
-    * the shuffle moves O(#blocks) records instead of O(#tuple copies).
+    * the shuffle moves O(#blocks) records instead of O(#tuple copies). Each
+    * record is (cube, (ri, block)), with `ri` the relation's index in `rels`.
+    *
+    * Relations that read the same RDD (a self-join's atoms) share one map
+    * pass: each distinct input is read once, and every tuple is routed for
+    * each relation over that input. The map side therefore runs one task per
+    * partition of each distinct input, so its parallelism is the inputs' own
+    * partitioning, as for any Spark scan.
     */
   def shufflePull(rels: Seq[Rel], p: Array[Int]): RDD[(Int, (Int, Array[Array[Long]]))] = {
     val cubes = p.product
-    val rdds = rels.zipWithIndex.map { case (rel, ri) =>
-      val attrs = rel.attrs
-      val pb    = p
-      rel.rdd
-        .mapPartitions { it =>
-          // Group locally per (cube) to form blocks.
-          val buf = collection.mutable.HashMap.empty[Int, collection.mutable.ArrayBuffer[Array[Long]]]
-          it.foreach { t =>
-            cubesFor(attrs, t, pb).foreach { c =>
-              buf.getOrElseUpdate(c, collection.mutable.ArrayBuffer.empty) += t
-            }
-          }
-          buf.iterator.map { case (c, ts) => (c, (ri, ts.toArray)) }
+    val rdds = rels.map(_.rdd).distinctBy(_.id).map { input =>
+      val ris   = rels.indices.filter(rels(_).rdd.id == input.id).toArray
+      val attrs = ris.map(rels(_).attrs)
+      input.mapPartitions { it =>
+        // One block buffer per (relation over this input, cube).
+        val buf = Array.fill(ris.length, cubes)(collection.mutable.ArrayBuffer.empty[Array[Long]])
+        it.foreach { t =>
+          var j = 0
+          while (j < ris.length) { cubesFor(attrs(j), t, p).foreach(buf(j)(_) += t); j += 1 }
         }
+        for {
+          j <- ris.indices.iterator
+          c <- (0 until cubes).iterator
+          if buf(j)(c).nonEmpty
+        } yield (c, (ris(j), buf(j)(c).toArray))
+      }
     }
     rdds.reduce(_ union _).partitionBy(new CubePartitioner(cubes))
   }

@@ -1,9 +1,14 @@
 package repro.core.exec
 
+import scala.math.Ordering.Implicits.seqOrdering
+
+import org.apache.spark.rdd.RDD
+
 import repro.{Oracle, SparkSpec}
 import repro.baselines.SparkSqlJoin
 import repro.core.{SparkTestData, TestHelpers}
 import repro.core.adj.Adj
+import repro.core.hcube.Rel
 import repro.core.hypergraph.QueryLibrary
 
 class MultiwayJoinSpec extends SparkSpec {
@@ -65,6 +70,25 @@ class MultiwayJoinSpec extends SparkSpec {
     val (rdd, _) = MultiwayJoin.execute(
       spark, rels(q, clique ++ extra), (0 until 5).toArray, Array(2, 2, 1, 1, 1))
     assert(rdd.count() == 120L)
+  }
+
+  test("relations sharing one input RDD join as they do over a separate copy per relation") {
+    val sc = spark.sparkContext
+    val g0 = TestHelpers.randomGraph(nodes = 12, edges = 40, seed = 13)
+    val g  = g0 ++ g0.take(10) // duplicated rows multiply the matching results
+    val h  = TestHelpers.randomGraph(nodes = 12, edges = 50, seed = 14)
+    // Q2 (4-cycle with chord): the cycle's four atoms read g, the chord reads h.
+    val q    = QueryLibrary.q2
+    val data = q.atoms.indices.map(i => if (i == 4) h else g)
+    def run(input: Int => RDD[Array[Long]]) = {
+      val rels = q.atoms.indices.map(i =>
+        Rel(q.atoms(i).name, q.atoms(i).attrs.map(q.attrId), input(i), data(i).length.toLong))
+      MultiwayJoin.execute(spark, rels, Array(0, 1, 2, 3), Array(2, 2, 2, 1))._1.map(_.toVector).collect().toSeq.sorted
+    }
+    val (sharedG, ownH) = (sc.parallelize(g, 3), sc.parallelize(h, 2))
+    val got = run(i => if (i == 4) ownH else sharedG)
+    assert(got.nonEmpty && got.distinct.length < got.length) // some rows come out more than once
+    assert(got == run(i => sc.parallelize(data(i), 3)))
   }
 
   test("the result is lazy: timings read 0 until it is drained, and a second drain counts once") {

@@ -1,5 +1,7 @@
 package repro.core.hcube
 
+import scala.math.Ordering.Implicits.seqOrdering
+
 import repro.SparkSpec
 import repro.core.TestHelpers
 
@@ -76,17 +78,46 @@ class HCubeSpec extends SparkSpec {
     assert(copies(out).length == g.length)
   }
 
+  /** The copies `cubesFor` assigns to each relation's tuples, as `copies` lists them. */
+  private def assigned(rels: Seq[(Rel, Seq[Array[Long]])], p: Array[Int]) =
+    rels.zipWithIndex.flatMap { case ((rel, ts), ri) =>
+      ts.flatMap(t => HCube.cubesFor(rel.attrs, t, p).map(c => (c, ri, t.toVector)))
+    }
+
   test("pull shuffle carries exactly the copies cubesFor assigns, in blocks") {
     val sc = spark.sparkContext
-    val g  = TestHelpers.randomGraph(12, 30, 2)
+    val g0 = TestHelpers.randomGraph(12, 30, 2)
+    val g  = g0 ++ g0.take(8) ++ g0.take(3) // rows held twice and three times
     val rel = Rel("R", Vector(0, 1), sc.parallelize(g, 3), g.length.toLong)
     val p = Array(2, 1)
-    val expected = g.flatMap(t => HCube.cubesFor(rel.attrs, t, p).map(c => (c, 0, t.toVector)))
+    val expected = assigned(Seq(rel -> g), p)
     val out = HCube.shufflePull(Seq(rel), p)
     val got = copies(out)
-    assert(got.length == expected.length && got.toSet == expected.toSet)
+    // Multisets: a dropped or doubled copy of a duplicated row must show.
+    assert(got.toSeq.sorted == expected.sorted)
     // Blocks batch tuples: no more shuffle records than tuple copies.
     assert(out.count() <= got.length)
+  }
+
+  test("relations over one shared input are routed in one map pass, each by its own attributes") {
+    val sc = spark.sparkContext
+    val g0 = TestHelpers.randomGraph(10, 25, 3)
+    val g  = g0.take(6).flatMap(t => Seq(t, t)) ++ g0.drop(6) // duplicated rows, side by side
+    val shared = sc.parallelize(g, 3)
+    val u  = TestHelpers.randomGraph(10, 15, 4)
+    // Self-join R(a,b), S(b,c), T(a,c) on one RDD, plus U(c,a) on its own.
+    val rels = Seq(
+      Rel("R", Vector(0, 1), shared, g.length.toLong),
+      Rel("S", Vector(1, 2), shared, g.length.toLong),
+      Rel("T", Vector(0, 2), shared, g.length.toLong),
+      Rel("U", Vector(2, 0), sc.parallelize(u, 2), u.length.toLong),
+    )
+    val p = Array(2, 3, 2)
+    val out = HCube.shufflePull(rels, p)
+    val expected = assigned(rels.map(r => r -> (if (r.name == "U") u else g)), p)
+    assert(copies(out).toSeq.sorted == expected.sorted)
+    // One map task per partition of each distinct input: 3 shared + 2 own.
+    assert(out.dependencies.head.rdd.getNumPartitions == 5)
   }
 
   test("unary relation is replicated across the free dimension") {
