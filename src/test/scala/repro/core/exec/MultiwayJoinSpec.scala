@@ -103,4 +103,18 @@ class MultiwayJoinSpec extends SparkSpec {
     assert(t.cubes.values.map(_.leapfrog.extensions).sum >= n)
     assert(rdd.count() == n && t.resultCount == n)
   }
+
+  test("each cube's memo counters reach the timings (Q5 in textual order)") {
+    val g = TestHelpers.randomGraph(nodes = 30, edges = 160, seed = 53)
+    val q = QueryLibrary.q5
+    val (rdd, t) = MultiwayJoin.execute(spark, rels(q, g), (0 until 5).toArray, Array(2, 2, 1, 1, 1))
+    assert(rdd.map(_.toVector).collect().toSet == TestHelpers.naiveJoin(q, TestHelpers.bindGraph(q, g)))
+    def sum(f: repro.core.lftj.LeapfrogStats => Array[Long]) =
+      (0 until 5).map(l => t.cubes.values.map(c => f(c.leapfrog)(l)).sum)
+    // Levels c and d (keyed by b, and by b and c) are memoized; a, b and e,
+    // whose keys would hold a, are not.
+    val hits = sum(_.memoHits)
+    assert(hits(0) == 0 && hits(1) == 0 && hits(4) == 0 && hits(2) > 0 && hits(3) > 0, hits)
+    assert(sum(_.memoStored).zip(hits).forall { case (s, h) => (s > 0) == (h > 0) })
+  }
 }

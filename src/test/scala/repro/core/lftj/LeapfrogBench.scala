@@ -17,7 +17,9 @@ import repro.data.GraphData
   *    included;
   *  - per level, its participants: the atom, the column read, the layout of
   *    its seeks (`offsets` in how many cubes, else `gallop`) and the summed
-  *    rows of its tries.
+  *    rows of its tries; then the times it was opened, the opens replayed
+  *    from the memo (`hits`) and the memo's stored keys plus bindings
+  *    (`stored`), next to the cubes' summed input tuples, the memo's cap.
   *
   * {{{
   * sbt "Test/runMain repro.core.lftj.LeapfrogBench"
@@ -56,11 +58,13 @@ object LeapfrogBench {
       val secs = runs.map(_._1).sorted
       val (_, rows, stats) = runs.head
       require(runs.forall(r => r._2 == rows && r._3.extensions == stats.extensions &&
-        r._3.levelCounts.sameElements(stats.levelCounts)), s"$name: counts differ between repetitions")
+        r._3.levelCounts.sameElements(stats.levelCounts) && r._3.memoHits.sameElements(stats.memoHits) &&
+        r._3.memoStored.sameElements(stats.memoStored)), s"$name: counts differ between repetitions")
       println(f"$name ord=${ord.mkString(",")} cubes=${cubes.length} median=${secs(secs.length / 2)}%.3f s " +
         f"[${secs.head}%.3f, ${secs.last}%.3f] rows=$rows extensions=${stats.extensions} " +
         s"levels=${stats.levelCounts.mkString(",")}")
-      println(f"  route+build median=${buildSecs(Reps / 2)}%.3f s")
+      println(f"  route+build median=${buildSecs(Reps / 2)}%.3f s, " +
+        s"memo cap ${cubes.map(_.map(_.size.toLong).sum).sum} tuples")
       for (lvl <- ord.indices) {
         val parts = cubes.head.indices.filter(ri => cubes.head(ri).levels.contains(lvl)).map { ri =>
           val ts     = cubes.map(_(ri))
@@ -69,7 +73,9 @@ object LeapfrogBench {
           val layout = if (dense == 0) "gallop" else s"offsets $dense/${ts.length}"
           s"R${ri + 1} col $col $layout rows=${ts.map(_.size.toLong).sum}"
         }
-        println(s"  L$lvl: ${parts.mkString("; ")}")
+        val opens = if (lvl == 0) cubes.length.toLong else stats.levelCounts(lvl - 1)
+        println(s"  L$lvl: ${parts.mkString("; ")} | opens=$opens hits=${stats.memoHits(lvl)} " +
+          s"stored=${stats.memoStored(lvl)}")
       }
     }
   }

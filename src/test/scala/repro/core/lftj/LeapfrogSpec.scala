@@ -28,6 +28,46 @@ class LeapfrogSpec extends AnyFunSuite {
 
   private val defaultOrd: Hypergraph => Seq[Int] = q => 0 until q.numAttrs
 
+  /** 2–3-ary atoms over distinct attributes of 0 until n, drawn until every
+    * attribute is bound.
+    */
+  private def randomAtoms(rnd: scala.util.Random, n: Int): Vector[Vector[Int]] =
+    Iterator.iterate((Vector.empty[Vector[Int]], Set.empty[Int])) { case (as, covered) =>
+      val a = rnd.shuffle((0 until n).toVector).take(2 + rnd.nextInt(math.min(2, n - 1)))
+      (as :+ a, covered ++ a)
+    }.dropWhile(_._2.size < n).next()._1
+
+  /** A naive oracle over the values of `domain`, which must be ascending:
+    * per level, the prefixes that survive it in Leapfrog's emission order (a
+    * prefix over levels 0..l survives if every relation binding one of those
+    * levels has a tuple agreeing with it there), and the bag join: each full
+    * binding with its multiplicity, the number of combinations of equal
+    * tuples.
+    */
+  private def oracle(
+      atoms: Seq[Vector[Int]],
+      data: Seq[Seq[Array[Long]]],
+      lvl: Map[Int, Int],
+      domain: Vector[Long],
+      firstFixed: Option[Long],
+  ): (IndexedSeq[Vector[Vector[Long]]], Vector[(Vector[Long], Long)]) = {
+    def agrees(prefix: Vector[Long]): Boolean = atoms.indices.forall { i =>
+      val bound = atoms(i).indices.filter(j => lvl(atoms(i)(j)) < prefix.length)
+      bound.isEmpty || data(i).exists(t => bound.forall(j => t(j) == prefix(lvl(atoms(i)(j)))))
+    }
+    val prefixes = (1 until lvl.size).scanLeft(firstFixed.fold(domain)(Vector(_)).map(Vector(_)).filter(agrees)) {
+      (ps, _) => for (p <- ps; v <- domain if agrees(p :+ v)) yield p :+ v
+    }
+    val expected = prefixes.last.map { b =>
+      b -> atoms.indices.map(i => count(atoms(i), data(i), lvl, b)).product
+    }
+    (prefixes, expected)
+  }
+
+  /** The tuples of a relation over `attrs` that agree with the binding `b`. */
+  private def count(attrs: Vector[Int], tuples: Seq[Array[Long]], lvl: Map[Int, Int], b: Vector[Long]): Long =
+    tuples.count(t => t.indices.forall(j => t(j) == b(lvl(attrs(j))))).toLong
+
   test("triangle join on a hand-built graph") {
     // Graph: 1-2, 2-3, 1-3 (a triangle), plus a dangling edge 3-4.
     val g = Seq((1, 2), (2, 3), (1, 3), (3, 4)).flatMap { case (x, y) =>
@@ -187,11 +227,7 @@ class LeapfrogSpec extends AnyFunSuite {
     val prop = Prop.forAll(org.scalacheck.Gen.choose(0L, Long.MaxValue)) { seed =>
       val rnd = new scala.util.Random(seed)
       val n   = 2 + rnd.nextInt(4)
-      // 2–3-ary atoms over distinct attributes until every attribute is bound.
-      val atoms = Iterator.iterate((Vector.empty[Vector[Int]], Set.empty[Int])) { case (as, covered) =>
-        val a = rnd.shuffle((0 until n).toVector).take(2 + rnd.nextInt(math.min(2, n - 1)))
-        (as :+ a, covered ++ a)
-      }.dropWhile(_._2.size < n).next()._1
+      val atoms = randomAtoms(rnd, n)
       // Few tuples over a tiny domain, so duplicates are common; sometimes none.
       val data = atoms.map(a => Vector.fill(rnd.nextInt(9))(Array.fill(a.length)(domain(rnd.nextInt(domain.length)))))
       val ord  = rnd.shuffle((0 until n).toVector)
@@ -201,20 +237,7 @@ class LeapfrogSpec extends AnyFunSuite {
       val stats = new LeapfrogStats(n)
       val lf    = new Leapfrog(atoms.indices.map(i => TrieRelation.build(atoms(i), lvl, data(i))), n, firstFixed, stats)
       val got   = lf.map(row => (row.toVector, lf.multiplicity)).toVector
-
-      // A prefix over levels 0..l survives if every relation binding one of
-      // those levels has a tuple agreeing with it there.
-      def agrees(prefix: Vector[Long]): Boolean = atoms.indices.forall { i =>
-        val bound = atoms(i).indices.filter(j => lvl(atoms(i)(j)) < prefix.length)
-        bound.isEmpty || data(i).exists(t => bound.forall(j => t(j) == prefix(lvl(atoms(i)(j)))))
-      }
-      val prefixes = (1 until n).scanLeft(firstFixed.fold(domain)(Vector(_)).map(Vector(_)).filter(agrees)) {
-        (ps, _) => for (p <- ps; v <- domain if agrees(p :+ v)) yield p :+ v
-      }
-      // The bag join: each full binding once per combination of equal tuples.
-      val expected = prefixes.last.map { b =>
-        b -> atoms.indices.map(i => data(i).count(t => t.indices.forall(j => t(j) == b(lvl(atoms(i)(j))))).toLong).product
-      }
+      val (prefixes, expected) = oracle(atoms, data, lvl, domain, firstFixed)
 
       val parts = (0 until n).map(l => atoms.count(_.exists(lvl(_) == l)))
       if (parts.contains(1)) seen += "single participant"
@@ -241,10 +264,7 @@ class LeapfrogSpec extends AnyFunSuite {
     val prop = Prop.forAll(org.scalacheck.Gen.choose(0L, Long.MaxValue)) { seed =>
       val rnd = new scala.util.Random(seed)
       val n   = 2 + rnd.nextInt(3)
-      val atoms = Iterator.iterate((Vector.empty[Vector[Int]], Set.empty[Int])) { case (as, covered) =>
-        val a = rnd.shuffle((0 until n).toVector).take(2 + rnd.nextInt(math.min(2, n - 1)))
-        (as :+ a, covered ++ a)
-      }.dropWhile(_._2.size < n).next()._1
+      val atoms = randomAtoms(rnd, n)
       val outlierAtom = if (rnd.nextInt(3) == 0) rnd.nextInt(atoms.length) else -1
       val data = atoms.indices.map { i =>
         val ts = Vector.fill(rnd.nextInt(13))(Array.fill(atoms(i).length)(rnd.nextInt(8).toLong))
@@ -259,17 +279,7 @@ class LeapfrogSpec extends AnyFunSuite {
       val lf    = new Leapfrog(tries, n, firstFixed, stats)
       val got   = lf.map(row => (row.toVector, lf.multiplicity)).toVector
 
-      // The oracle of the property above, over this domain.
-      def agrees(prefix: Vector[Long]): Boolean = atoms.indices.forall { i =>
-        val bound = atoms(i).indices.filter(j => lvl(atoms(i)(j)) < prefix.length)
-        bound.isEmpty || data(i).exists(t => bound.forall(j => t(j) == prefix(lvl(atoms(i)(j)))))
-      }
-      val prefixes = (1 until n).scanLeft(firstFixed.fold(domain)(Vector(_)).map(Vector(_)).filter(agrees)) {
-        (ps, _) => for (p <- ps; v <- domain if agrees(p :+ v)) yield p :+ v
-      }
-      val expected = prefixes.last.map { b =>
-        b -> atoms.indices.map(i => data(i).count(t => t.indices.forall(j => t(j) == b(lvl(atoms(i)(j))))).toLong).product
-      }
+      val (prefixes, expected) = oracle(atoms, data, lvl, domain, firstFixed)
 
       // Every non-empty relation is a participant on column 0 at its first level.
       val dense = tries.filter(_.size > 0).groupBy(_.offsets != null)
@@ -283,6 +293,102 @@ class LeapfrogSpec extends AnyFunSuite {
     val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, res.status.toString)
     assert(seen.size == 4, seen)
+  }
+
+  test("property (scalacheck): memoized levels replay the oracle's rows, multiplicities and counts") {
+    // A dense domain and many tuples, so levels are opened again under the
+    // same narrowed ranges and duplicate tuples are common.
+    val domain = (0L to 3L).toVector
+    val seen   = collection.mutable.Set.empty[String]
+    val prop = Prop.forAll(org.scalacheck.Gen.choose(0L, Long.MaxValue)) { seed =>
+      val rnd   = new scala.util.Random(seed)
+      val n     = 3 + rnd.nextInt(3)
+      val atoms = randomAtoms(rnd, n)
+      val data  = atoms.map(a => Vector.fill(rnd.nextInt(14))(Array.fill(a.length)(domain(rnd.nextInt(domain.length)))))
+      val ord   = rnd.shuffle((0 until n).toVector)
+      val lvl   = ord.zipWithIndex.toMap
+      val firstFixed = if (rnd.nextInt(4) == 0) Some(domain(rnd.nextInt(domain.length))) else None
+
+      val tries = atoms.indices.map(i => TrieRelation.build(atoms(i), lvl, data(i)))
+      val stats = new LeapfrogStats(n)
+      val lf    = new Leapfrog(tries, n, firstFixed, stats)
+      val got   = lf.map(row => (row.toVector, lf.multiplicity)).toVector
+      val (prefixes, expected) = oracle(atoms, data, lvl, domain, firstFixed)
+
+      // The memo's rule: level l > 0 is memoized unless a participant
+      // narrowed by an earlier level belongs to a relation that binds level
+      // 0, or firstFixed is set. Its key is each narrowed participant's
+      // prefix; level l is opened once per prefix of level l - 1, and an open
+      // hits when an earlier open had the same key.
+      val levels   = atoms.map(_.map(lvl))
+      val parts    = (l: Int) => atoms.indices.filter(i => levels(i).contains(l))
+      val narrowed = (l: Int) => parts(l).filter(i => levels(i).min < l)
+      val eligible = (1 until n).filter(l => narrowed(l).forall(i => levels(i).min > 0)).toSet
+      val memoized = if (firstFixed.isEmpty) eligible else Set.empty[Int]
+      def key(l: Int, p: Vector[Long]) = narrowed(l).map(i => levels(i).filter(_ < l).sorted.map(p))
+      // Per memoized level, whether each open hits.
+      val hit = memoized.map { l =>
+        val keys = prefixes(l - 1).map(key(l, _))
+        l -> keys.indices.map(j => keys.indexOf(keys(j)) < j)
+      }.toMap
+      def hitFor(l: Int, p: Vector[Long]) = hit(l)(prefixes(l - 1).indexOf(p.take(l)))
+      val hits   = (0 until n).map(l => hit.get(l).fold(0L)(_.count(identity).toLong))
+      // Per memoized level: one per distinct key, plus its bindings.
+      val stored = (0 until n).map(l => hit.get(l).fold(0L)(h => h.count(!_) + prefixes(l).count(!hitFor(l, _))))
+      val cap      = data.map(_.length.toLong).sum
+      val underCap = stored.sum <= cap
+
+      if (stats.memoHits.sum > 0) seen += "memo hits"
+      // A row with a duplicated tuple whose relation's deepest level was
+      // replayed for it: its multiplicity comes from restored ranges.
+      if (underCap && expected.exists { case (b, _) =>
+          atoms.indices.exists { i =>
+            val l = levels(i).max
+            memoized(l) && count(atoms(i), data(i), lvl, b) > 1 && hitFor(l, b)
+          }
+        }) seen += "replayed duplicates"
+      if (atoms.indices.exists(i => atoms(i).length == 3 && levels(i).exists(hits(_) > 0))) seen += "ternary atom"
+      if ((1 until n).exists(l => memoized(l) && narrowed(l).isEmpty && hits(l) > 0)) seen += "constant key"
+      if (firstFixed.nonEmpty && eligible.exists(l => prefixes(l - 1).length > 1)) seen += "firstFixed"
+
+      got == expected && stats.levelCounts.toSeq == prefixes.map(_.length.toLong) &&
+        stats.extensions == prefixes.map(_.length.toLong).sum && stats.memoStored.sum <= cap &&
+        (if (underCap) stats.memoHits.toSeq == hits && stats.memoStored.toSeq == stored
+         else (0 until n).forall(l => stats.memoHits(l) <= hits(l)))
+    }
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
+    assert(seen.size == 5, seen)
+  }
+
+  test("the memo stops storing at the input tuple count and the rows stay the oracle's") {
+    // Levels a, b, c, d. Level d is memoized with key (b, c), its narrowed
+    // participants R(b, d) and S(c, d); a binds neither. Each of the 30 × 30
+    // keys costs 1 + 2 (two bindings of d), so the cap of 240 input tuples
+    // holds 80 of them: the opens for a = 0 store the first 80, and those
+    // for a = 1 hit exactly those.
+    val (as, bs, ds) = (0L to 1L, 0L until 30L, 0L to 1L)
+    val lvl  = Map(0 -> 0, 1 -> 1, 2 -> 2, 3 -> 3)
+    val data = IndexedSeq(
+      Vector(0, 1) -> (for (a <- as; b <- bs) yield Array(a, b)),
+      Vector(0, 2) -> (for (a <- as; c <- bs) yield Array(a, c)),
+      Vector(1, 3) -> (for (b <- bs; d <- ds) yield Array(b, d)),
+      Vector(2, 3) -> (for (c <- bs; d <- ds) yield Array(c, d)),
+    )
+    val tries = data.map { case (attrs, ts) => TrieRelation.build(attrs, lvl, ts) }
+    val cap   = tries.map(_.size.toLong).sum
+    val stats = new LeapfrogStats(4)
+    val lf    = new Leapfrog(tries, 4, stats = stats)
+    val got   = Vector.newBuilder[(Vector[Long], Long)]
+    while (lf.hasNext) {
+      got += (lf.next().toVector -> lf.multiplicity)
+      assert(stats.memoStored.sum <= cap)
+    }
+    assert(got.result() == (for (a <- as; b <- bs; c <- bs; d <- ds) yield Vector(a, b, c, d) -> 1L))
+    assert(cap == 240L)
+    assert(stats.memoStored.toSeq == Seq(0L, 0L, 0L, 240L))
+    assert(stats.memoHits.toSeq == Seq(0L, 0L, 0L, 80L))
+    assert(stats.levelCounts(2) == 1800L) // 1800 opens of d over 900 keys
   }
 
   test("every level must be bound by some relation") {
