@@ -2,6 +2,7 @@ package repro.core.adj
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 
@@ -205,9 +206,9 @@ object Adj {
 
   // ---------------------------------------------------------------- adapters
 
-  /** Binds every atom of a subgraph query to the same graph (columns
-    * (src, dst)) and returns the result as a DataFrame with the query's
-    * attribute names — the experiment setup of Sec. VII-A.
+  /** Binds every atom of a subgraph query to the same graph (its two Long
+    * columns, (src, dst)) and returns the result as a DataFrame with the
+    * query's attribute names — the experiment setup of Sec. VII-A.
     */
   def runOnGraph(
       spark: SparkSession,
@@ -215,10 +216,23 @@ object Adj {
       graph: DataFrame,
       cfg: Config = Config(),
   ): (DataFrame, Report) = {
-    val edgeRdd = graph.rdd.map(r => Array(r.getLong(0), r.getLong(1)))
+    require(graph.schema.length == 2, s"a graph has two columns, not ${graph.schema.length}")
+    val edgeRdd = longRows(graph.queryExecution.toRdd)
     val (rdd, report) = run(spark, query, Vector.fill(query.numAtoms)(edgeRdd), cfg)
     (toDf(spark, rdd, query.attributes), report)
   }
+
+  /** Spark's rows of Long columns as tuples, dropping every row with a NULL:
+    * each input column is a join key, and a NULL key matches nothing, so
+    * such a row adds nothing to the result.
+    */
+  def longRows(rows: RDD[InternalRow]): RDD[Array[Long]] =
+    rows.filter(!_.anyNull).map { row =>
+      val arr = new Array[Long](row.numFields)
+      var i = 0
+      while (i < arr.length) { arr(i) = row.getLong(i); i += 1 }
+      arr
+    }
 
   /** Wraps a result RDD as a DataFrame with the given column names. */
   def toDf(spark: SparkSession, rdd: RDD[Array[Long]], names: Seq[String]): DataFrame = {

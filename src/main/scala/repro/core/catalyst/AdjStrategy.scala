@@ -157,8 +157,8 @@ final case class AdjJoinExec(
     // counts and samples its table once.
     val shared = collection.mutable.Map.empty[SparkPlan, RDD[Array[Long]]]
     val data = children.toVector.map { child =>
-      if (child.deterministic) shared.getOrElseUpdate(child.canonicalized, longRows(child))
-      else longRows(child)
+      if (child.deterministic) shared.getOrElseUpdate(child.canonicalized, Adj.longRows(child.execute()))
+      else Adj.longRows(child.execute())
     }
     val (result, report) = Adj.run(spark, query, data, cfg)
     logInfo(s"ADJ report before the join runs: $report")
@@ -176,16 +176,6 @@ final case class AdjJoinExec(
       }
     }
   }
-
-  // Every nullable input column is a join key (see AdjStrategy), and a
-  // NULL key matches nothing, so a row with a NULL adds nothing to the result.
-  private def longRows(child: SparkPlan): RDD[Array[Long]] =
-    child.execute().filter(!_.anyNull).map { row =>
-      val arr = new Array[Long](row.numFields)
-      var i = 0
-      while (i < arr.length) { arr(i) = row.getLong(i); i += 1 }
-      arr
-    }
 
   override protected def withNewChildrenInternal(newChildren: IndexedSeq[SparkPlan]): SparkPlan =
     copy(children = newChildren)

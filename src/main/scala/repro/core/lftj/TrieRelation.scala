@@ -80,7 +80,9 @@ object TrieRelation {
     lo
   }
 
-  /** Builds a trie relation. Column 0 gets offsets when they take no more
+  /** Builds a trie relation. The rows are sorted as packed `Long` keys when
+    * their columns' spans fit 63 bits together ([[packing]]), else as row
+    * arrays with a comparator. Column 0 gets offsets when they take no more
     * memory than the column: when its span max0 − min0 + 1 is at most
     * 2 · size (an `Int` per value against a `Long` per row). Sparse keys,
     * such as 64-bit SQL values, have none, and their seeks gallop.
@@ -93,26 +95,95 @@ object TrieRelation {
     val perm   = attrIds.indices.sortBy(i => ordPos(attrIds(i))).toArray
     val levels = perm.map(i => ordPos(attrIds(i)))
     val k      = perm.length
-    val arr    = tuples.iterator.map { t =>
-      val r = new Array[Long](k)
+    val n      = tuples.size
+    val cols   = Array.ofDim[Long](k, n)
+    val it     = tuples.iterator
+    var j      = 0
+    while (it.hasNext) {
+      val t = it.next()
       var i = 0
-      while (i < k) { r(i) = t(perm(i)); i += 1 }
-      r
-    }.toArray
+      while (i < k) { cols(i)(j) = t(perm(i)); i += 1 }
+      j += 1
+    }
+    packing(cols) match {
+      case Some((mins, widths)) => sortPacked(cols, mins, widths)
+      case None                 => sortRows(cols, n)
+    }
+    new TrieRelation(levels, cols, n, if (k == 0) null else denseOffsets(cols(0)))
+  }
+
+  /** Each column's least value and the bits its offsets `v − min` need, if
+    * the bits sum to at most 63, so a row packs into one non-negative `Long`
+    * whose order is the rows' lexicographic order; else None. None for no
+    * rows.
+    */
+  private[lftj] def packing(cols: Array[Array[Long]]): Option[(Array[Long], Array[Int])] = {
+    if (cols.isEmpty || cols(0).isEmpty) return None
+    val mins   = new Array[Long](cols.length)
+    val widths = new Array[Int](cols.length)
+    var total  = 0
+    var i      = 0
+    while (i < cols.length) {
+      val c = cols(i)
+      var min = c(0); var max = c(0); var j = 1
+      while (j < c.length) { val v = c(j); if (v < min) min = v; if (v > max) max = v; j += 1 }
+      mins(i) = min
+      // A span over Long.MaxValue wraps negative: 64 bits, so it never packs.
+      widths(i) = 64 - java.lang.Long.numberOfLeadingZeros(max - min)
+      total += widths(i)
+      if (total > 63) return None
+      i += 1
+    }
+    Some((mins, widths))
+  }
+
+  /** Sorts the rows of `cols` by packing each into a mixed-radix `Long` of
+    * its columns' offsets `v − min`, column 0 highest, sorting the keys and
+    * unpacking them. Equal rows pack to equal keys, so duplicates stay
+    * adjacent runs.
+    */
+  private def sortPacked(cols: Array[Array[Long]], mins: Array[Long], widths: Array[Int]): Unit = {
+    val k      = cols.length
+    val n      = cols(0).length
+    val shifts = new Array[Int](k)
+    var i = k - 2
+    while (i >= 0) { shifts(i) = shifts(i + 1) + widths(i + 1); i -= 1 }
+    val keys = new Array[Long](n)
+    i = 0
+    while (i < k) {
+      val c = cols(i); val min = mins(i); val sh = shifts(i)
+      var j = 0
+      while (j < n) { keys(j) |= (c(j) - min) << sh; j += 1 }
+      i += 1
+    }
+    java.util.Arrays.sort(keys)
+    i = 0
+    while (i < k) {
+      val c = cols(i); val min = mins(i); val sh = shifts(i); val mask = (1L << widths(i)) - 1
+      var j = 0
+      while (j < n) { c(j) = ((keys(j) >>> sh) & mask) + min; j += 1 }
+      i += 1
+    }
+  }
+
+  /** Sorts the rows of `cols` as row arrays with a lexicographic comparator:
+    * the sort for rows that do not pack into a `Long`.
+    */
+  private def sortRows(cols: Array[Array[Long]], n: Int): Unit = {
+    val k    = cols.length
+    val rows = Array.tabulate(n)(j => Array.tabulate(k)(i => cols(i)(j)))
     val cmp: Comparator[Array[Long]] = (x: Array[Long], y: Array[Long]) => {
       var i = 0; var c = 0
       while (i < k && c == 0) { c = java.lang.Long.compare(x(i), y(i)); i += 1 }
       c
     }
-    java.util.Arrays.sort(arr, cmp)
-    val cols = Array.ofDim[Long](k, arr.length)
+    java.util.Arrays.sort(rows, cmp)
     var j = 0
-    while (j < arr.length) {
+    while (j < n) {
       var i = 0
-      while (i < k) { cols(i)(j) = arr(j)(i); i += 1 }
+      while (i < k) { cols(i)(j) = rows(j)(i); i += 1 }
       j += 1
     }
-    new TrieRelation(levels, cols, arr.length, if (k == 0) null else denseOffsets(cols(0)))
   }
 
   /** The offsets of a sorted column, or null if it is empty or its span is

@@ -42,13 +42,32 @@ object GraphData {
     StructField("src", LongType, nullable = false),
     StructField("dst", LongType, nullable = false)))
 
-  /** The symmetrized edge relation (columns `src`, `dst`, both Long). */
+  /** The symmetrized edge relation (columns `src`, `dst`, both Long): each
+    * edge (u, v) as the rows (u, v) and (v, u), in generation order.
+    *
+    * The rows live in one broadcast as a `src` and a `dst` column, and a
+    * partition carries only its index i: it reads the rows
+    * [i·n/parts, (i+1)·n/parts), the slices `parallelize` would cut. A task
+    * over the graph then ships no rows.
+    */
   def graph(spark: SparkSession, spec: Spec): DataFrame = {
     val edges = scaleFreeEdges(spec.nodes, spec.m, spec.closure, spec.seed)
-    val rows  = edges.flatMap { case (u, v) => Seq(Row(u, v), Row(v, u)) }
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows, math.max(4, spark.sparkContext.defaultParallelism)),
-      edgeSchema)
+    val n     = 2 * edges.length
+    val src   = new Array[Long](n)
+    val dst   = new Array[Long](n)
+    var j = 0
+    for ((u, v) <- edges) {
+      src(j) = u; dst(j) = v; src(j + 1) = v; dst(j + 1) = u
+      j += 2
+    }
+    val sc    = spark.sparkContext
+    val parts = math.max(4, sc.defaultParallelism)
+    val cols  = sc.broadcast((src, dst))
+    val rows  = sc.parallelize(0 until parts, parts).flatMap { i =>
+      val (s, d) = cols.value
+      Iterator.range((i.toLong * n / parts).toInt, ((i + 1).toLong * n / parts).toInt).map(r => Row(s(r), d(r)))
+    }
+    spark.createDataFrame(rows, edgeSchema)
   }
 
   /** Barabási–Albert attachment with triangle closure, driver-side and

@@ -1,20 +1,20 @@
 package repro.core.lftj
 
 import repro.core.hcube.{HCube, Shares}
-import repro.core.hypergraph.{Hypergraph, QueryLibrary}
+import repro.core.hypergraph.QueryLibrary
 import repro.data.GraphData
 
 /** Microbenchmark of the Leapfrog kernel alone, on one thread, without Spark:
   * routes the AS graph (seed 12) to the hypercubes of `Shares.optimize` with
   * a budget of 4, builds every cube's tries once (and times as many
-  * rebuilds as repetitions), and times Leapfrog over all
+  * re-routings and rebuilds as repetitions), and times Leapfrog over all
   * cubes for Q5 (textual order, as communication-first runs it), Q4 and Q6
   * (the co-optimized orders of the benchmark's modal plans, over the raw
   * atoms). Prints, per query:
   *  - the median and range of the repetitions, and the summed rows,
   *    extensions and level counts, which must not change with a kernel change;
-  *  - the median seconds to route the graph and build the tries, offsets
-  *    included;
+  *  - the median seconds to route the graph to the cubes, and apart from
+  *    it the median seconds to build every cube's tries, offsets included;
   *  - per level, its participants: the atom, the column read, the layout of
   *    its seeks (`offsets` in how many cubes, else `gallop`) and the summed
   *    rows of its tries; then the times it was opened, the opens replayed
@@ -39,12 +39,13 @@ object LeapfrogBench {
         ("Q5", QueryLibrary.q5, Array(0, 1, 2, 3, 4)),
         ("Q4", QueryLibrary.q4, Array(1, 4, 0, 3, 2)),
         ("Q6", QueryLibrary.q6, Array(1, 4, 0, 2, 3)))) {
-      val cubes = tries(q, ord, edges)
-      val buildSecs = (1 to Reps).map { _ =>
-        val t0 = System.nanoTime()
-        tries(q, ord, edges)
-        (System.nanoTime() - t0) / 1e9
-      }.sorted
+      val attrs    = q.atoms.map(_.attrs.map(q.attrId))
+      val lvl      = ord.zipWithIndex.toMap
+      val inputs   = route(attrs, q.numAttrs, edges)
+      def build()  = inputs.map(rs => rs.indices.map(ri => TrieRelation.build(attrs(ri), lvl, rs(ri))))
+      val cubes    = build()
+      val routeSec = medianSec(route(attrs, q.numAttrs, edges))
+      val buildSec = medianSec(build())
       val runs = (1 to Reps).map { _ =>
         val stats = new LeapfrogStats(ord.length)
         var rows  = 0L
@@ -63,7 +64,7 @@ object LeapfrogBench {
       println(f"$name ord=${ord.mkString(",")} cubes=${cubes.length} median=${secs(secs.length / 2)}%.3f s " +
         f"[${secs.head}%.3f, ${secs.last}%.3f] rows=$rows extensions=${stats.extensions} " +
         s"levels=${stats.levelCounts.mkString(",")}")
-      println(f"  route+build median=${buildSecs(Reps / 2)}%.3f s, " +
+      println(f"  route median=$routeSec%.3f s, build median=$buildSec%.3f s, " +
         s"memo cap ${cubes.map(_.map(_.size.toLong).sum).sum} tuples")
       for (lvl <- ord.indices) {
         val parts = cubes.head.indices.filter(ri => cubes.head(ri).levels.contains(lvl)).map { ri =>
@@ -80,14 +81,21 @@ object LeapfrogBench {
     }
   }
 
-  /** The tries of every non-empty hypercube, relations in atom order. */
-  private def tries(q: Hypergraph, ord: Array[Int], edges: Seq[Array[Long]]): Seq[IndexedSeq[TrieRelation]] = {
-    val attrs   = q.atoms.map(_.attrs.map(q.attrId))
-    val p       = Shares.optimize(attrs.map(a => (a.toSet, edges.length.toLong)), q.numAttrs, Budget).p
+  /** The median seconds of `Reps` runs of `body`. */
+  private def medianSec(body: => Any): Double =
+    (1 to Reps).map { _ =>
+      val t0 = System.nanoTime()
+      body
+      (System.nanoTime() - t0) / 1e9
+    }.sorted.apply(Reps / 2)
+
+  /** The inputs of every non-empty hypercube: per relation (atom order, with
+    * attribute ids `attrs`), the edge tuples routed to the cube.
+    */
+  private def route(attrs: Seq[Vector[Int]], numAttrs: Int, edges: Seq[Array[Long]]): Seq[IndexedSeq[Vector[Array[Long]]]] = {
+    val p       = Shares.optimize(attrs.map(a => (a.toSet, edges.length.toLong)), numAttrs, Budget).p
     val perCube = Array.fill(p.product, attrs.length)(Vector.newBuilder[Array[Long]])
     for (ri <- attrs.indices; t <- edges; c <- HCube.cubesFor(attrs(ri), t, p)) perCube(c)(ri) += t
-    val lvl = ord.zipWithIndex.toMap
-    perCube.toSeq.map(_.map(_.result())).filter(_.forall(_.nonEmpty))
-      .map(rs => rs.indices.map(ri => TrieRelation.build(attrs(ri), lvl, rs(ri))))
+    perCube.toSeq.map(_.map(_.result()).toIndexedSeq).filter(_.forall(_.nonEmpty))
   }
 }

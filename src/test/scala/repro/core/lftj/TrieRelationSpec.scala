@@ -161,4 +161,56 @@ class TrieRelationSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
     assert(emptyRange && below && above && runToHi && innerColumn)
   }
+
+  test("property (scalacheck): packed and comparator builds equal a sorted oracle") {
+    // Each column's values take one of five shapes: few small values around
+    // 0 (negatives, duplicate rows); 0, 1 or Long.MaxValue (a 63-bit span);
+    // 0 or 1; 2^20-wide values (four columns need 80 bits); or both ends of
+    // Long. A case gives all its columns one shape, each column its own, or
+    // a 63-bit column beside 0/1 columns (64 bits over two columns).
+    val small = Gen.choose(-3L, 3L)
+    val top   = Gen.oneOf(0L, 1L, Long.MaxValue)
+    val bit   = Gen.oneOf(0L, 1L)
+    val wide  = Gen.choose(0L, (1L << 20) - 1)
+    val ends  = Gen.frequency(3 -> Gen.choose(-2L, 2L), 1 -> Gen.const(Long.MinValue), 1 -> Gen.const(Long.MaxValue))
+    val shape = Gen.oneOf(Seq(small, top, bit, wide, ends))
+    val cases = for {
+      k      <- Gen.choose(1, 4)
+      // Input columns in a random order of k of the 4 attributes.
+      attrs  <- Gen.pick(k, 0 until 4).flatMap(a => Gen.listOfN(k, Gen.long).map(a.zip(_).sortBy(_._2).map(_._1).toSeq))
+      shapes <- Gen.oneOf(shape.map(List.fill(k)(_)), Gen.listOfN(k, shape), Gen.const(top :: List.fill(k - 1)(bit)))
+      n      <- Gen.frequency(1 -> Gen.const(0), 9 -> Gen.choose(1, 30))
+      rows   <- Gen.listOfN(n, Gen.sequence[List[Long], Long](shapes).map(_.toArray))
+    } yield (attrs, rows)
+    val pos  = Map(0 -> 0, 1 -> 1, 2 -> 2, 3 -> 3)
+    val seen = collection.mutable.Set.empty[String]
+    val prop = Prop.forAll(cases) { case (attrs, rows) =>
+      val t      = TrieRelation.build(attrs, pos, rows)
+      val perm   = attrs.indices.sortBy(i => attrs(i))
+      val sorted = rows.map(r => perm.map(r(_)).toVector)
+        .sorted(Ordering.Implicits.seqOrdering[Vector, Long])
+      val want   = Vector.tabulate(attrs.length)(i => sorted.map(_(i)))
+      // The bits of each column's span; a row packs when they sum to <= 63.
+      val bits   = want.map(c => if (c.isEmpty) 0 else (BigInt(c.max) - BigInt(c.min)).bitLength)
+      val packs  = rows.nonEmpty && bits.sum <= 63
+      val packed = TrieRelation.packing(t.cols).isDefined
+      seen += (if (packed) "packed" else "comparator")
+      seen += s"arity ${attrs.length}"
+      if (rows.isEmpty) seen += "empty"
+      if (want.exists(_.exists(_ < 0))) seen += "negative"
+      if (sorted.distinct.length < sorted.length) seen += s"duplicates, packed $packed"
+      if (bits.sum == 63) seen += s"63 bits, packed $packed"
+      if (bits.forall(_ < 64) && bits.sum == 64) seen += s"64 bits over columns, packed $packed"
+      if (bits.contains(64)) seen += s"a 64-bit span, packed $packed"
+      if (want.exists(c => c.contains(Long.MinValue) && c.contains(Long.MaxValue))) seen += s"whole Long range, packed $packed"
+      if (attrs.length == 4 && bits.forall(_ >= 16) && bits.sum > 63) seen += s"four wide columns, packed $packed"
+      t.size == rows.length && columns(t) == want && packed == packs
+    }
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(400), prop)
+    assert(res.passed, res.status.toString)
+    assert(seen == Set("packed", "comparator", "arity 1", "arity 2", "arity 3", "arity 4", "empty",
+      "negative", "duplicates, packed true", "duplicates, packed false", "63 bits, packed true",
+      "64 bits over columns, packed false", "a 64-bit span, packed false", "whole Long range, packed false",
+      "four wide columns, packed false"), seen)
+  }
 }

@@ -1,5 +1,7 @@
 package repro.data
 
+import org.apache.spark.serializer.JavaSerializer
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
@@ -45,6 +47,21 @@ class GraphDataSpec extends SparkSpec {
   test("the six dataset specs keep the paper's relative size order") {
     val counts = GraphData.all.map(s => GraphData.graph(spark, s).count())
     assert(counts == counts.sorted, s"sizes not increasing: $counts")
+  }
+
+  test("a graph's partitions carry no rows and hold parallelize's slices in order") {
+    val sc    = spark.sparkContext
+    val ser   = new JavaSerializer(sc.getConf).newInstance()
+    val parts = math.max(4, sc.defaultParallelism)
+    for (spec <- Seq(GraphData.wb, GraphData.as_, GraphData.ok)) {
+      val rdd   = GraphData.graph(spark, spec).rdd
+      val bytes = rdd.partitions.map(p => ser.serialize(p).limit())
+      assert(bytes.forall(_ < 4096), s"${spec.name}: partitions of ${bytes.mkString(", ")} bytes")
+      val rows = GraphData.scaleFreeEdges(spec.nodes, spec.m, spec.closure, spec.seed)
+        .flatMap { case (u, v) => Seq(Row(u, v), Row(v, u)) }
+      val want = sc.parallelize(rows, parts).glom().collect().map(_.toSeq).toSeq
+      assert(rdd.glom().collect().map(_.toSeq).toSeq == want, spec.name)
+    }
   }
 
   test("dataset registry exposes all six names") {
