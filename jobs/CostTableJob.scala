@@ -11,7 +11,9 @@ import repro.core.adj.Adj
   * spark-submit --class repro.jobs.CostTableJob <jar> <AS|LJ|OK> [budgetSec] [samples]
   * }}}
   *
-  * AS reproduces Table II, LJ Table III, OK Table IV.
+  * AS reproduces Table II, LJ Table III, OK Table IV. Exits with status 1
+  * when a Co-Optimization case fails or times out, or when both strategies
+  * finish a query with different result counts.
   */
 object CostTableJob {
   def main(args: Array[String]): Unit = {
@@ -23,9 +25,13 @@ object CostTableJob {
       .appName(s"adj-cost-table-$dataset")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    try {
-      val rows = Harness.costTable(spark, dataset, budget, samples)
-      println(Harness.formatTable(s"Cost table: $dataset", rows, budget))
-    } finally spark.stop()
+    val faults =
+      try {
+        val rows = Harness.costTable(spark, dataset, budget, samples)
+        println(Harness.formatTable(s"Cost table: $dataset", rows, budget))
+        Harness.faults(rows)
+      } finally spark.stop()
+    faults.foreach(f => Console.err.println(s"[cost-table] $f"))
+    if (faults.nonEmpty) sys.exit(1)
   }
 }

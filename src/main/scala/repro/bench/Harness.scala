@@ -126,6 +126,20 @@ object Harness {
     } yield runCase(spark, dataset, q, strat, budgetSec, samples)
   }
 
+  /** What makes a cost table wrong: a Co-Optimization case that failed or
+    * timed out, or a query that both strategies finished with different
+    * result counts.
+    */
+  def faults(rows: Seq[CaseResult]): Seq[String] = {
+    val incomplete = rows.filter(r => r.strategy == "Co-Optimization" && (r.timedOut || r.failure.isDefined))
+      .map(r => s"${r.query}: co-optimization did not complete: $r")
+    val disagreeing = rows.filter(r => !r.timedOut && r.failure.isEmpty).groupBy(_.query).toSeq.sortBy(_._1)
+      .collect { case (q, rs) if rs.map(_.resultCount).distinct.size > 1 =>
+        s"$q: strategies disagree (${rs.map(_.resultCount).mkString(" vs ")})"
+      }
+    incomplete ++ disagreeing
+  }
+
   /** Table I driver: tuple counts and sizes of the six datasets. */
   def datasetTable(spark: SparkSession): String = {
     val sb = new StringBuilder

@@ -1,8 +1,9 @@
 package repro.core.adj
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{AdjDataFrames, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 
@@ -234,9 +235,24 @@ object Adj {
       arr
     }
 
+  /** Result tuples as Spark's rows: output column i reads tuple column
+    * `cols(i)`. The writer's row is reused across rows, as Spark operators'
+    * output rows are; no column is ever null.
+    */
+  def unsafeRows(rdd: RDD[Array[Long]], cols: Array[Int]): RDD[InternalRow] =
+    rdd.mapPartitions[InternalRow] { it =>
+      val writer = new UnsafeRowWriter(cols.length)
+      it.map { t =>
+        writer.reset()
+        var i = 0
+        while (i < cols.length) { writer.write(i, t(cols(i))); i += 1 }
+        writer.getRow
+      }
+    }
+
   /** Wraps a result RDD as a DataFrame with the given column names. */
   def toDf(spark: SparkSession, rdd: RDD[Array[Long]], names: Seq[String]): DataFrame = {
     val schema = StructType(names.map(StructField(_, LongType, nullable = false)))
-    spark.createDataFrame(rdd.map(t => Row.fromSeq(t.toSeq)), schema)
+    AdjDataFrames.fromInternalRows(spark, unsafeRows(rdd, names.indices.toArray), schema)
   }
 }

@@ -4,7 +4,6 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{SparkSession, SparkSessionExtensions}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeReference, EqualTo, Expression}
-import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, LogicalPlan, Project}
 import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy}
@@ -163,18 +162,8 @@ final case class AdjJoinExec(
     val (result, report) = Adj.run(spark, query, data, cfg)
     logInfo(s"ADJ report before the join runs: $report")
     // Result columns are ascending attribute id == class id; each output
-    // column reads its class's value. The writer's row is reused across
-    // rows, as Spark operators' output rows are; no column is ever null.
-    val outClasses = columnClass.toArray
-    result.mapPartitions[InternalRow] { it =>
-      val writer = new UnsafeRowWriter(outClasses.length)
-      it.map { t =>
-        writer.reset()
-        var i = 0
-        while (i < outClasses.length) { writer.write(i, t(outClasses(i))); i += 1 }
-        writer.getRow
-      }
-    }
+    // column reads its class's value.
+    Adj.unsafeRows(result, columnClass.toArray)
   }
 
   override protected def withNewChildrenInternal(newChildren: IndexedSeq[SparkPlan]): SparkPlan =

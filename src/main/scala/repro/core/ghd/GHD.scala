@@ -22,25 +22,10 @@ final case class HyperTree(query: Hypergraph, nodes: Vector[HyperNode], edges: S
   /** fhw-style score: the maximum node width. */
   def maxWidth: Double = nodes.map(_.width).max
 
-  def neighbors(i: Int): Set[Int] =
-    edges.collect { case (a, b) if a == i => b; case (a, b) if b == i => a }
-
   /** True iff the given node subset induces a connected subtree (used by the
     * optimizer's valid-traversal-order check; singletons/empty are connected).
     */
-  def inducesConnectedSubtree(keep: Set[Int]): Boolean = {
-    if (keep.size <= 1) return true
-    val start = keep.head
-    val seen  = collection.mutable.Set(start)
-    val stack = collection.mutable.Stack(start)
-    while (stack.nonEmpty) {
-      val u = stack.pop()
-      neighbors(u).foreach { v =>
-        if (keep.contains(v) && !seen.contains(v)) { seen += v; stack.push(v) }
-      }
-    }
-    seen.size == keep.size
-  }
+  def inducesConnectedSubtree(keep: Set[Int]): Boolean = GYO.inducesConnectedSubtree(keep, edges)
 
   override def toString: String =
     nodes.zipWithIndex.map { case (n, i) =>

@@ -60,27 +60,23 @@ object GYO {
   /** True iff, in the tree given by `edges` over `bags`, every attribute's
     * occurrence set induces a connected subtree (running intersection).
     */
-  def hasRunningIntersection(bags: IndexedSeq[Set[Int]], edges: Set[(Int, Int)]): Boolean = {
-    val n   = bags.length
-    if (n <= 1) return true
-    val adj = Array.fill(n)(List.empty[Int])
-    for ((i, j) <- edges) { adj(i) ::= j; adj(j) ::= i }
-    val attrs = bags.flatten.toSet
-    attrs.forall { a =>
-      val holders = bags.indices.filter(bags(_).contains(a)).toSet
-      if (holders.size <= 1) true
-      else {
-        val start = holders.head
-        val seen  = collection.mutable.Set(start)
-        val stack = collection.mutable.Stack(start)
-        while (stack.nonEmpty) {
-          val u = stack.pop()
-          adj(u).foreach { v =>
-            if (holders.contains(v) && !seen.contains(v)) { seen += v; stack.push(v) }
-          }
-        }
-        seen.size == holders.size
+  def hasRunningIntersection(bags: IndexedSeq[Set[Int]], edges: Set[(Int, Int)]): Boolean =
+    bags.flatten.toSet.forall(a => inducesConnectedSubtree(bags.indices.filter(bags(_).contains(a)).toSet, edges))
+
+  /** True iff the node subset `keep` is connected by the tree edges between
+    * its own nodes; singletons and the empty set are connected.
+    */
+  def inducesConnectedSubtree(keep: Set[Int], edges: Set[(Int, Int)]): Boolean = {
+    if (keep.size <= 1) return true
+    val seen  = collection.mutable.Set(keep.head)
+    val stack = collection.mutable.Stack(keep.head)
+    while (stack.nonEmpty) {
+      val u = stack.pop()
+      for ((a, b) <- edges) {
+        if (a == u && keep.contains(b) && seen.add(b)) stack.push(b)
+        if (b == u && keep.contains(a) && seen.add(a)) stack.push(a)
       }
     }
+    seen.size == keep.size
   }
 }

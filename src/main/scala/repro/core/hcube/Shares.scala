@@ -5,10 +5,9 @@ package repro.core.hcube
   * Given relation schemas with sizes, finds the integer vector
   * p = (p_1..p_n) with Π p_i ≤ P minimizing the number of shuffled tuples
   *
-  *   Σ_R |R| · dup(R, p),   dup(R, p) = Π_{A ∉ attrs(R)} p_A,
+  *   Σ_R |R| · dup(R, p),   dup(R, p) = Π_{A ∉ attrs(R)} p_A.
   *
-  * optionally subject to the per-server memory constraint
-  * Σ_R |R| · frac(R, p) ≤ M with frac(R, p) = 1 / Π_{A ∈ attrs(R)} p_A.
+  * Eq. (3)'s per-server memory constraint is not applied.
   *
   * P is small (≈ the cluster's core count), so exhaustive enumeration of
   * share vectors is exact and fast.
@@ -26,12 +25,6 @@ object Shares {
     d
   }
 
-  def frac(attrs: Set[Int], p: Array[Int]): Double = {
-    var f = 1.0
-    attrs.foreach(a => f /= p(a))
-    f
-  }
-
   def shuffledTuples(rels: Seq[(Set[Int], Long)], p: Array[Int]): Double =
     rels.map { case (attrs, size) => size.toDouble * dup(attrs, p) }.sum
 
@@ -46,22 +39,16 @@ object Shares {
     * @param rels      (attribute ids, tuple count) per relation
     * @param numAttrs  n = |attrs(Q)|
     * @param budget    P — the parallelism target (≥ 1)
-    * @param memory    per-server tuple budget M (None = unconstrained)
     */
-  def optimize(rels: Seq[(Set[Int], Long)], numAttrs: Int, budget: Int,
-               memory: Option[Double] = None): Result = {
+  def optimize(rels: Seq[(Set[Int], Long)], numAttrs: Int, budget: Int): Result = {
     require(budget >= 1)
     val maxCubes = 4 * budget
     var best: Result = null
     val p = Array.fill(numAttrs)(1)
 
-    def memOk(p: Array[Int]): Boolean = memory.forall { m =>
-      rels.map { case (attrs, size) => size * frac(attrs, p) }.sum <= m
-    }
-
     def rec(i: Int, prodSoFar: Int): Unit = {
       if (i == numAttrs) {
-        if (prodSoFar >= budget && memOk(p)) {
+        if (prodSoFar >= budget) {
           val cost = shuffledTuples(rels, p)
           // Minimize shuffled tuples; tie-break toward fewer cubes (less
           // scheduling overhead once the parallelism floor is met), then
@@ -82,12 +69,6 @@ object Shares {
       }
     }
     rec(0, 1)
-    if (best == null) {
-      // Memory constraint unsatisfiable within budget: fall back to the
-      // min-shuffle vector without the constraint (the paper's program is
-      // then infeasible; execution proceeds best-effort).
-      return optimize(rels, numAttrs, budget, None)
-    }
     best
   }
 }

@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.adj.Adj
+import repro.data.GraphData
 
 class HarnessSpec extends SparkSpec {
 
@@ -68,11 +69,30 @@ class HarnessSpec extends SparkSpec {
     assert(s.contains("> 150"))
   }
 
+  test("costTable completes every Co-Optimization case, and both strategies agree") {
+    val rows = Harness.costTable(spark, "WB", 60, samples = 30)
+    assert(rows.map(r => (r.query, r.strategy)) ==
+      Seq("Q4", "Q5", "Q6").flatMap(q => Seq((q, "Co-Optimization"), (q, "Communication-First"))))
+    rows.filter(_.strategy == "Co-Optimization").foreach(r => assert(!r.timedOut && r.failure.isEmpty, r.toString))
+    rows.groupBy(_.query).foreach { case (q, rs) =>
+      assert(rs.map(_.resultCount).distinct.size == 1, s"$q: ${rs.mkString(" / ")}")
+    }
+  }
+
+  test("faults names an incomplete Co-Optimization case and a count mismatch") {
+    def row(q: String, strategy: String, count: Long, timedOut: Boolean = false) =
+      Harness.CaseResult("WB", q, strategy, 0, 0, 0, 0, 0, count, timedOut, None)
+    val ok = Seq(row("Q4", "Co-Optimization", 7), row("Q4", "Communication-First", -1, timedOut = true))
+    assert(Harness.faults(ok).isEmpty)
+    val bad = Seq(row("Q4", "Co-Optimization", -1, timedOut = true),
+      row("Q5", "Co-Optimization", 7), row("Q5", "Communication-First", 8))
+    val f = Harness.faults(bad)
+    assert(f.length == 2 && f(0).startsWith("Q4") && f(1).startsWith("Q5"), f)
+  }
+
   test("datasetTable lists all six datasets") {
-    // Uses the two smallest generations only through GraphData.all — this is
-    // exercised fully by the bench; here we only check the header contract.
-    val row = Harness.CaseResult("AS", "Q5", "Co-Optimization",
-      1, 1, 1, 1, 4, 10L, timedOut = false, None)
-    assert(Harness.formatTable("x", Seq(row), 1).nonEmpty)
+    val lines = Harness.datasetTable(spark).linesIterator.toVector
+    assert(lines.length == 2 + GraphData.all.length, lines) // title + header + one per dataset
+    assert(lines.drop(2).map(_.split("\\s+").head) == GraphData.all.map(_.name), lines)
   }
 }

@@ -11,12 +11,6 @@ class SharesSpec extends AnyFunSuite {
     assert(Shares.dup(Set.empty, p) == 24.0)
   }
 
-  test("frac divides by the shares of present attributes") {
-    val p = Array(2, 3, 4)
-    assert(Shares.frac(Set(0), p) == 0.5)
-    assert(math.abs(Shares.frac(Set(1, 2), p) - 1.0 / 12) < 1e-12)
-  }
-
   test("shuffledTuples sums size times duplication") {
     val p = Array(2, 2)
     val rels = Seq((Set(0), 100L), (Set(1), 50L))
@@ -56,24 +50,10 @@ class SharesSpec extends AnyFunSuite {
 
   test("the parallelism floor pushes shares onto the relation's own attribute") {
     // With one unary relation on attr 0, any share on attr 1 duplicates it;
-    // shares on attr 0 are free (frac shrinks, dup unchanged). Meeting the
-    // cube floor of 4 therefore puts the whole budget on attr 0.
+    // shares on attr 0 duplicate nothing. Meeting the cube floor of 4
+    // therefore puts the whole budget on attr 0.
     val res = Shares.optimize(Seq((Set(0), 100L)), 2, 4)
     assert(res.p(0) == 4 && res.p(1) == 1, res.toString)
-  }
-
-  test("memory constraint steers away from overloaded servers") {
-    val rels = Seq((Set(0, 1), 1000L))
-    // Without constraint: p=(budget on attr0*attr1 arbitrary) cost always
-    // 1000; with M=300 per server we need p0*p1 >= 4.
-    val res = Shares.optimize(rels, 2, 8, memory = Some(300.0))
-    assert(Shares.frac(Set(0, 1), res.p) * 1000 <= 300.0)
-  }
-
-  test("unsatisfiable memory constraint falls back to min-shuffle") {
-    val rels = Seq((Set(0), 1000L))
-    val res = Shares.optimize(rels, 1, 2, memory = Some(1.0))
-    assert(res.p.head >= 1) // no crash, best-effort vector returned
   }
 
   test("cubes equals the product of the share vector, within the window") {

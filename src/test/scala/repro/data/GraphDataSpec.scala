@@ -47,6 +47,11 @@ class GraphDataSpec extends SparkSpec {
   test("the six dataset specs keep the paper's relative size order") {
     val counts = GraphData.all.map(s => GraphData.graph(spark, s).count())
     assert(counts == counts.sorted, s"sizes not increasing: $counts")
+    // Each within 2x of the paper's |R| scaled by 1/400 (DESIGN.md §3).
+    val target = Seq(33000L, 55250L, 127250L, 173500L, 459750L, 586000L)
+    counts.zip(target).foreach { case (n, t) =>
+      assert(n > t / 2 && n < t * 2, s"size $n too far from scaled target $t")
+    }
   }
 
   test("a graph's partitions carry no rows and hold parallelize's slices in order") {
