@@ -1,7 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
 import repro.bench.Harness
 import repro.core.adj.Adj
 
@@ -20,11 +18,7 @@ object CostTableJob {
     val dataset = args.headOption.getOrElse("AS")
     val budget  = args.lift(1).map(_.toDouble).getOrElse(150.0)
     val samples = args.lift(2).map(_.toInt).getOrElse(Adj.Config().samples)
-    val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(s"adj-cost-table-$dataset")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+    val spark = Harness.session(s"adj-cost-table-$dataset")
     val faults =
       try {
         val rows = Harness.costTable(spark, dataset, budget, samples)

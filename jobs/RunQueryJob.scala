@@ -1,7 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
 import repro.bench.Harness
 import repro.core.adj.Adj
 
@@ -21,11 +19,7 @@ object RunQueryJob {
       case _            => Adj.CoOptimization
     }
     val budget = args.lift(3).map(_.toDouble).getOrElse(600.0)
-    val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(s"adj-${args(0)}-${args(1)}")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+    val spark = Harness.session(s"adj-${args(0)}-${args(1)}")
     try {
       val row = Harness.runCase(spark, args(0), args(1), strategy, budget)
       println(Harness.formatTable("Single case", Seq(row), budget))

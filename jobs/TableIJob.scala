@@ -1,7 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
 import repro.bench.Harness
 
 /** spark-submit entrypoint reproducing Table I (dataset statistics).
@@ -12,11 +10,7 @@ import repro.bench.Harness
   */
 object TableIJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("adj-table1")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+    val spark = Harness.session("adj-table1")
     try println(Harness.datasetTable(spark))
     finally spark.stop()
   }

@@ -35,6 +35,16 @@ object Harness {
       if (timedOut) s"> ${budget.toInt}" else f"$totalSec%.1f"
   }
 
+  /** The session every job runs in: master `SPARK_MASTER` (default
+    * `local[*]`), broadcast joins off.
+    */
+  def session(appName: String): SparkSession =
+    SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(appName)
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+
   /** Runs `body` in a dedicated thread inside a cancellable job group.
     *
     * @return Right(result) on completion, Left(errorMessage) on failure,

@@ -3,7 +3,7 @@ package repro.core.catalyst
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{SparkSession, SparkSessionExtensions}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeReference, EqualTo, Expression}
+import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeReference, EqualTo, Expression, PredicateHelper}
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, LogicalPlan, Project}
 import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy}
@@ -25,7 +25,7 @@ import repro.core.hypergraph.{Atom, Hypergraph}
   * `spark.experimental.extraStrategies :+= AdjStrategy(spark)` or globally
   * with `spark.sql.extensions=repro.core.catalyst.AdjExtensions`.
   */
-final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
+final case class AdjStrategy(session: SparkSession) extends SparkStrategy with PredicateHelper {
 
   override def apply(plan: LogicalPlan): Seq[SparkPlan] = {
     if (!enabled) return Nil
@@ -80,12 +80,7 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
     }
 
   private def extractEqualities(cond: Expression): Option[Vector[(Attribute, Attribute)]] = {
-    def split(e: Expression): Seq[Expression] = e match {
-      case org.apache.spark.sql.catalyst.expressions.And(l, r) => split(l) ++ split(r)
-      case other                                               => Seq(other)
-    }
-    val conjuncts = split(cond)
-    val pairs = conjuncts.map {
+    val pairs = splitConjunctivePredicates(cond).map {
       case EqualTo(a: Attribute, b: Attribute) => Some((a, b))
       case _                                   => None
     }

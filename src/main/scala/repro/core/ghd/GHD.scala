@@ -35,10 +35,11 @@ final case class HyperTree(query: Hypergraph, nodes: Vector[HyperNode], edges: S
 }
 
 /** Exhaustive GHD search over set partitions of the query's atoms
-  * (Sec. III-A): keep partitions whose bags form an α-acyclic hypergraph,
-  * score by (max node width, max node arity, node count), minimal first —
-  * i.e. minimize the worst pre-computed relation's AGM bound, then prefer
-  * small bags and fine granularity.
+  * (Sec. III-A): keep partitions whose bags form an α-acyclic hypergraph
+  * (their max-weight join forest has running intersection), score by (max
+  * node width, max node arity, node count), minimal first — i.e. minimize
+  * the worst pre-computed relation's AGM bound, then prefer small bags and
+  * fine granularity.
   *
   * m ≤ 10 atoms in the paper's workload ⇒ Bell(10) ≈ 1.2e5 partitions;
   * per-group widths are memoized so the search runs in well under a second.
@@ -55,16 +56,18 @@ object GHD {
         Simplex.fractionalEdgeCover(attrs, group.map(q.edges))
       })
 
-    var best: Option[(Double, Int, Double, Int, Vector[Vector[Int]])] = None
+    // (max width, max arity, width sum, node count)
+    type Score = (Double, Int, Double, Int)
+    var best: Option[(Score, Vector[Vector[Int]], Set[(Int, Int)])] = None
 
     // Score order: max width (the paper's criterion — bound the worst
     // pre-computed relation), then max bag arity, then the SUM of widths
     // (prefer e.g. a width-1.5 triangle bag over a width-2 chordless cycle
     // when the maxima tie), then node count.
-    def better(cand: (Double, Int, Double, Int, Vector[Vector[Int]])): Boolean = best match {
+    def better(score: Score): Boolean = best match {
       case None => true
-      case Some((w, arity, sumW, nb, _)) =>
-        val (cw, ca, cs, cn, _) = cand
+      case Some(((w, arity, sumW, nb), _, _)) =>
+        val (cw, ca, cs, cn) = score
         cw < w - 1e-9 ||
           (cw < w + 1e-9 && (ca < arity ||
             (ca == arity && (cs < sumW - 1e-9 ||
@@ -72,19 +75,22 @@ object GHD {
     }
 
     // Enumerate set partitions: atom i joins an existing group or opens one.
+    // A complete partition that would beat the best is kept iff its bags'
+    // join forest is a join tree.
     def rec(i: Int, groups: Vector[Vector[Int]]): Unit = {
       if (i == m) {
-        val bags = groups.map(_.flatMap(q.edges).toSet)
-        if (GYO.isAcyclic(bags)) {
-          val widths = groups.map(groupWidth)
-          val cand = (widths.max, bags.map(_.size).max, widths.sum, groups.length, groups)
-          if (better(cand)) best = Some(cand)
+        val bags   = groups.map(_.flatMap(q.edges).toSet)
+        val widths = groups.map(groupWidth)
+        val score  = (widths.max, bags.map(_.size).max, widths.sum, groups.length)
+        if (better(score)) {
+          val edges = GYO.joinTree(bags)
+          if (GYO.hasRunningIntersection(bags, edges)) best = Some((score, groups, edges))
         }
       } else {
         // Prune: a partial partition whose widths already exceed the best
         // known maximum cannot win.
         val partialW = if (groups.isEmpty) 0.0 else groups.map(groupWidth).max
-        val prune = best.exists { case (w, _, _, _, _) => partialW > w + 1e-9 }
+        val prune = best.exists { case ((w, _, _, _), _, _) => partialW > w + 1e-9 }
         if (!prune) {
           groups.indices.foreach { g =>
             rec(i + 1, groups.updated(g, groups(g) :+ i))
@@ -95,14 +101,11 @@ object GHD {
     }
     rec(0, Vector.empty)
 
-    val groups = best.getOrElse(throw new IllegalStateException(
-      s"no acyclic decomposition found for $q — the trivial single bag is always acyclic"))._5
+    val (_, groups, edges) = best.getOrElse(throw new IllegalStateException(
+      s"no acyclic decomposition found for $q — the trivial single bag is always acyclic"))
     val nodes = groups.map { g =>
       HyperNode(g, g.flatMap(q.edges).toSet, groupWidth(g))
     }
-    val edges = GYO.joinTree(nodes.map(_.attrs))
-    require(GYO.hasRunningIntersection(nodes.map(_.attrs), edges),
-      s"join tree lost running intersection for $q: $nodes / $edges")
     HyperTree(q, nodes, edges)
   }
 }

@@ -1,36 +1,18 @@
 package repro.core.ghd
 
-/** GYO (Graham / Yu–Ozsoyoglu) machinery for hypergraph acyclicity and
-  * join-tree construction over a set of bags (attribute sets).
+/** α-acyclicity (the property GYO reduction decides) and join trees over a
+  * set of bags (attribute sets). By Bernstein–Goodman, a hypergraph is
+  * α-acyclic iff a maximum-weight spanning forest of its bags' intersection
+  * graph is a join tree. Every other test here counts edges of such a
+  * forest: in a forest, k nodes are joined by at most k − 1 edges, with
+  * equality iff they are connected.
   */
 object GYO {
 
-  /** True iff the hypergraph whose hyperedges are `bags` is α-acyclic:
-    * repeated ear removal (drop vertices unique to one bag; drop bags
-    * contained in another bag) reduces it to at most one bag.
-    */
+  /** True iff the hypergraph whose hyperedges are `bags` is α-acyclic. */
   def isAcyclic(bags: Seq[Set[Int]]): Boolean = {
-    var cur = bags.toVector.filter(_.nonEmpty)
-    var changed = true
-    while (changed && cur.length > 1) {
-      changed = false
-      // Drop bags contained in some other bag (one at a time to keep
-      // duplicate bags from annihilating each other).
-      val sub = cur.indices.find(i => cur.indices.exists(j => j != i && cur(i).subsetOf(cur(j))))
-      sub match {
-        case Some(i) =>
-          cur = cur.patch(i, Nil, 1); changed = true
-        case None =>
-          // Drop vertices that occur in exactly one bag.
-          val counts = cur.flatten.groupBy(identity).view.mapValues(_.size).toMap
-          val lonely = counts.collect { case (v, 1) => v }.toSet
-          if (lonely.nonEmpty) {
-            cur = cur.map(_.diff(lonely)).filter(_.nonEmpty)
-            changed = true
-          }
-      }
-    }
-    cur.length <= 1
+    val bs = bags.toIndexedSeq
+    hasRunningIntersection(bs, joinTree(bs))
   }
 
   /** Builds a join tree over the bags via a maximum-weight spanning forest
@@ -57,26 +39,22 @@ object GYO {
     edges
   }
 
-  /** True iff, in the tree given by `edges` over `bags`, every attribute's
+  /** True iff, in the forest given by `edges` over `bags`, every attribute's
     * occurrence set induces a connected subtree (running intersection).
+    * Each attribute's holders are joined by at most (occurrences − 1) edges,
+    * so the sums agree iff every attribute's holders are connected.
+    *
+    * `edges` must be a forest: no cycles and no pair listed both ways.
     */
   def hasRunningIntersection(bags: IndexedSeq[Set[Int]], edges: Set[(Int, Int)]): Boolean =
-    bags.flatten.toSet.forall(a => inducesConnectedSubtree(bags.indices.filter(bags(_).contains(a)).toSet, edges))
+    edges.iterator.map { case (i, j) => bags(i).intersect(bags(j)).size }.sum ==
+      bags.map(_.size).sum - bags.flatten.toSet.size
 
-  /** True iff the node subset `keep` is connected by the tree edges between
+  /** True iff the node subset `keep` is connected by the forest edges between
     * its own nodes; singletons and the empty set are connected.
+    *
+    * `edges` must be a forest: no cycles and no pair listed both ways.
     */
-  def inducesConnectedSubtree(keep: Set[Int], edges: Set[(Int, Int)]): Boolean = {
-    if (keep.size <= 1) return true
-    val seen  = collection.mutable.Set(keep.head)
-    val stack = collection.mutable.Stack(keep.head)
-    while (stack.nonEmpty) {
-      val u = stack.pop()
-      for ((a, b) <- edges) {
-        if (a == u && keep.contains(b) && seen.add(b)) stack.push(b)
-        if (b == u && keep.contains(a) && seen.add(a)) stack.push(a)
-      }
-    }
-    seen.size == keep.size
-  }
+  def inducesConnectedSubtree(keep: Set[Int], edges: Set[(Int, Int)]): Boolean =
+    keep.size <= 1 || edges.count { case (i, j) => keep(i) && keep(j) } == keep.size - 1
 }

@@ -1,6 +1,6 @@
 package repro.core.hcube
 
-import org.apache.spark.Partitioner
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 
 /** A relation participating in a one-round join: positional Long tuples plus
@@ -30,11 +30,6 @@ object HCube {
     var h = value * -7046029254386353131L
     h ^= h >>> 32
     (java.lang.Math.floorMod(h, buckets.toLong)).toInt
-  }
-
-  private final class CubePartitioner(cubes: Int) extends Partitioner {
-    def numPartitions: Int = cubes
-    def getPartition(key: Any): Int = key.asInstanceOf[Int]
   }
 
   /** Linearized cube ids a tuple of relation `attrs` must reach under `p`,
@@ -103,6 +98,7 @@ object HCube {
         } yield (c, (ris(j), buf(j)(c).toArray))
       }
     }
-    rdds.reduce(_ union _).partitionBy(new CubePartitioner(cubes))
+    // An Int cube id in [0, cubes) hashes to itself, so cube c is partition c.
+    rdds.reduce(_ union _).partitionBy(new HashPartitioner(cubes))
   }
 }

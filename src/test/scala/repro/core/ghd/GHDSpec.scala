@@ -92,4 +92,39 @@ class GHDSpec extends AnyFunSuite {
     assert(t.inducesConnectedSubtree(Set.empty))
     assert(t.inducesConnectedSubtree(Set(0)))
   }
+
+  test("GHD.decompose gives the recorded decompositions of Q1–Q11") {
+    // Per query: each node's (atoms, attribute ids, width), then the edges.
+    val pinned = Seq(
+      QueryLibrary.q1  -> (Vector((Vector(0, 1, 2), Set(0, 1, 2), 1.5)), Set.empty[(Int, Int)]),
+      QueryLibrary.q2  -> (Vector((Vector(0, 1, 4), Set(0, 1, 2), 1.5), (Vector(2, 3), Set(0, 2, 3), 2.0)),
+                           Set((0, 1))),
+      QueryLibrary.q3  -> (Vector((Vector(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), Set(0, 1, 2, 3, 4), 2.5)),
+                           Set.empty[(Int, Int)]),
+      QueryLibrary.q4  -> (Vector((Vector(0, 4), Set(0, 1, 4), 2.0), (Vector(1, 2), Set(1, 2, 3), 2.0),
+                                  (Vector(3, 5), Set(1, 3, 4), 2.0)), Set((0, 2), (1, 2))),
+      QueryLibrary.q5  -> (Vector((Vector(0, 4, 5), Set(0, 1, 4), 1.5), (Vector(1, 2), Set(1, 2, 3), 2.0),
+                                  (Vector(3, 6), Set(1, 3, 4), 2.0)), Set((0, 2), (1, 2))),
+      QueryLibrary.q6  -> (Vector((Vector(0, 4, 5), Set(0, 1, 4), 1.5),
+                                  (Vector(1, 2, 3, 6, 7), Set(1, 2, 3, 4), 2.0)), Set((0, 1))),
+      QueryLibrary.q7  -> (Vector((Vector(0), Set(0, 1), 1.0), (Vector(1), Set(1, 2), 1.0)), Set((0, 1))),
+      QueryLibrary.q8  -> (Vector((Vector(0), Set(0, 1), 1.0), (Vector(1), Set(1, 2), 1.0),
+                                  (Vector(2), Set(2, 3), 1.0)), Set((0, 1), (1, 2))),
+      QueryLibrary.q9  -> (Vector((Vector(0), Set(0, 1), 1.0), (Vector(1), Set(0, 2), 1.0),
+                                  (Vector(2), Set(0, 3), 1.0)), Set((0, 1), (0, 2))),
+      QueryLibrary.q10 -> (Vector((Vector(0), Set(0, 1), 1.0), (Vector(1), Set(1, 2), 1.0),
+                                  (Vector(2), Set(2, 3), 1.0), (Vector(3), Set(3, 4), 1.0)),
+                           Set((0, 1), (1, 2), (2, 3))),
+      QueryLibrary.q11 -> (Vector((Vector(0), Set(0, 1), 1.0), (Vector(1), Set(0, 2), 1.0),
+                                  (Vector(2), Set(0, 3), 1.0), (Vector(3), Set(0, 4), 1.0)),
+                           Set((0, 1), (0, 2), (0, 3))),
+    )
+    for (((q, (nodes, edges)), k) <- pinned.zipWithIndex) {
+      val t = GHD.decompose(q)
+      assert(t.nodes.map(n => (n.atomIdxs, n.attrs)) == nodes.map(n => (n._1, n._2)), s"Q${k + 1}: $t")
+      assert(t.nodes.map(_.width).zip(nodes.map(_._3)).forall { case (a, b) => math.abs(a - b) < 1e-9 },
+        s"Q${k + 1}: $t")
+      assert(t.edges == edges, s"Q${k + 1}: $t")
+    }
+  }
 }
