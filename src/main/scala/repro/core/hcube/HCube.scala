@@ -1,7 +1,7 @@
 package repro.core.hcube
 
 import org.apache.spark.HashPartitioner
-import org.apache.spark.rdd.RDD
+import org.apache.spark.rdd.{RDD, ShuffledRDD}
 
 /** A relation participating in a one-round join: positional Long tuples plus
   * the global attribute id of each column.
@@ -36,36 +36,42 @@ object HCube {
     * ascending.
     */
   def cubesFor(attrs: Vector[Int], tuple: Array[Long], p: Array[Int]): Seq[Int] = {
-    val n = p.length
-    val coord = Array.fill(n)(-1)
-    var i = 0
-    while (i < attrs.length) { coord(attrs(i)) = hash(tuple(i), p(attrs(i))); i += 1 }
-    // Mixed-radix counter over the free dimensions, the last one fastest;
-    // `digit` holds the bound coordinates and the counter's free digits.
-    var count = 1
-    var a = 0
-    while (a < n) { if (coord(a) < 0) count *= p(a); a += 1 }
-    val digit = coord.map(math.max(_, 0))
-    val ids   = new Array[Int](count)
-    var k = 0
-    while (k < count) {
-      var id = 0
-      a = 0
-      while (a < n) { id = id * p(a) + digit(a); a += 1 }
-      ids(k) = id
-      var carry = true
-      a = n - 1
-      while (carry && a >= 0) {
-        if (coord(a) < 0) {
-          digit(a) += 1
-          carry = digit(a) == p(a)
-          if (carry) digit(a) = 0
-        }
-        a -= 1
-      }
-      k += 1
+    val router = new Router(attrs, p)
+    router.route(tuple)
+    collection.immutable.ArraySeq.unsafeWrapArray(router.ids)
+  }
+
+  /** Routes the tuples of one relation (attribute ids `attrs`, one per
+    * column) to their cubes under `p`, without allocating per tuple. A cube
+    * id is the mixed-radix number of its coordinates, the last dimension
+    * fastest, so it is the sum of a bound part, fixed by the tuple's hashes,
+    * and a free part, one of the precomputed `offsets` over the dimensions
+    * `attrs` leaves free. `route(t)` fills `ids` with t's cube ids,
+    * ascending, and returns their count, which is the same for every tuple.
+    */
+  final class Router(attrs: Seq[Int], p: Array[Int]) {
+    private val stride = p.indices.map(a => p.iterator.drop(a + 1).product).toArray
+    // Each bound dimension is hashed from the last column that carries it.
+    private val dims = attrs.distinct.toArray
+    private val cols = dims.map(attrs.lastIndexOf(_))
+    private val offsets = p.indices.filterNot(dims.contains).foldLeft(Array(0)) { (acc, a) =>
+      for (o <- acc; d <- 0 until p(a)) yield o + d * stride(a)
     }
-    collection.immutable.ArraySeq.unsafeWrapArray(ids)
+    /** The cube ids of the last routed tuple. */
+    val ids = new Array[Int](offsets.length)
+
+    def route(tuple: Array[Long]): Int = {
+      var base = 0
+      var i = 0
+      while (i < dims.length) {
+        val a = dims(i)
+        base += hash(tuple(cols(i)), p(a)) * stride(a)
+        i += 1
+      }
+      i = 0
+      while (i < offsets.length) { ids(i) = base + offsets(i); i += 1 }
+      offsets.length
+    }
   }
 
   /** Block-wise ("Pull") shuffle (Sec. V): tuples of one relation headed for
@@ -77,7 +83,8 @@ object HCube {
     * pass: each distinct input is read once, and every tuple is routed for
     * each relation over that input. The map side therefore runs one task per
     * partition of each distinct input, so its parallelism is the inputs' own
-    * partitioning, as for any Spark scan.
+    * partitioning, as for any Spark scan. The blocks cross the wire as flat
+    * longs (`BlockSerializer`), not as Java-serialized tuple arrays.
     */
   def shufflePull(rels: Seq[Rel], p: Array[Int]): RDD[(Int, (Int, Array[Array[Long]]))] = {
     val cubes = p.product
@@ -85,11 +92,19 @@ object HCube {
       val ris   = rels.indices.filter(rels(_).rdd.id == input.id).toArray
       val attrs = ris.map(rels(_).attrs)
       input.mapPartitions { it =>
-        // One block buffer per (relation over this input, cube).
-        val buf = Array.fill(ris.length, cubes)(collection.mutable.ArrayBuffer.empty[Array[Long]])
+        // Per relation over this input: one router, and one block buffer per cube.
+        val routers = attrs.map(new Router(_, p))
+        val buf     = Array.fill(ris.length, cubes)(collection.mutable.ArrayBuffer.empty[Array[Long]])
         it.foreach { t =>
           var j = 0
-          while (j < ris.length) { cubesFor(attrs(j), t, p).foreach(buf(j)(_) += t); j += 1 }
+          while (j < ris.length) {
+            val r = routers(j)
+            val b = buf(j)
+            val n = r.route(t)
+            var k = 0
+            while (k < n) { b(r.ids(k)) += t; k += 1 }
+            j += 1
+          }
         }
         for {
           j <- ris.indices.iterator
@@ -99,6 +114,7 @@ object HCube {
       }
     }
     // An Int cube id in [0, cubes) hashes to itself, so cube c is partition c.
-    rdds.reduce(_ union _).partitionBy(new HashPartitioner(cubes))
+    new ShuffledRDD[Int, (Int, Array[Array[Long]]), (Int, Array[Array[Long]])](
+      rdds.reduce(_ union _), new HashPartitioner(cubes)).setSerializer(new BlockSerializer)
   }
 }

@@ -1,6 +1,13 @@
 package repro.core.hcube
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, EOFException}
+import java.util.concurrent.atomic.AtomicLong
+
 import scala.math.Ordering.Implicits.seqOrdering
+
+import org.apache.spark.{ShuffleDependency, SparkEnv, TestListenerBus}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
+import org.scalacheck.{Gen, Prop, Test => ScTest}
 
 import repro.SparkSpec
 import repro.core.TestHelpers
@@ -147,5 +154,125 @@ class HCubeSpec extends SparkSpec {
       }
       assert(hit, s"pair ${rt.toVector} / ${st.toVector} never co-located")
     }
+  }
+
+  private type Record = (Int, (Int, Array[Array[Long]]))
+
+  /** A record's cube, relation index and tuples, comparable by value. */
+  private def flat(r: (Any, Any)) = {
+    val (c, (ri, block)) = r.asInstanceOf[Record]
+    (c, ri, block.toVector.map(_.toVector))
+  }
+
+  /** Writes `records` through one serialization stream and returns its bytes. */
+  private def encode(records: Seq[Record]): Array[Byte] = {
+    val bytes = new ByteArrayOutputStream()
+    val out   = new BlockSerializer().newInstance().serializeStream(bytes)
+    records.foreach { case (c, v) => out.writeKey(c).writeValue(v) }
+    out.close()
+    bytes.toByteArray
+  }
+
+  private def decoder(bytes: Array[Byte]) =
+    new BlockSerializer().newInstance().deserializeStream(new ByteArrayInputStream(bytes))
+
+  test("flat block encoding round-trips records of arity 1-3, extreme values and a block larger than its buffer") {
+    val extremes = Seq(Long.MinValue, Long.MaxValue, -1L, 0L, 1L, 0x0102030405060708L)
+    val rnd      = new scala.util.Random(7)
+    val records: Seq[Record] = Seq(
+      (0, (0, extremes.map(v => Array(v)).toArray)),
+      (3, (1, extremes.map(v => Array(v, -v)).toArray)),
+      (3, (2, extremes.combinations(3).map(_.toArray).toArray)),
+      (Int.MaxValue, (0, Array.fill(100000)(Array.fill(3)(rnd.nextLong())))),
+      (1, (7, Array(Array(Long.MaxValue, Long.MinValue)))),
+      (2, (0, Array.empty[Array[Long]])),
+    )
+    val bytes    = encode(records)
+    val expected = records.map(flat)
+    // The key/value iterator Spark's shuffle reader uses ends cleanly at EOF.
+    assert(decoder(bytes).asKeyValueIterator.map(flat).toVector == expected)
+    // Reading record by record, the key after the last one is an EOFException.
+    val in = decoder(bytes)
+    assert(records.map(_ => flat((in.readKey[Any](), in.readValue[Any]()))) == expected)
+    intercept[EOFException](in.readKey[Int]())
+    // Whole-record writes read back as whole records.
+    val objBytes = new ByteArrayOutputStream()
+    val out      = new BlockSerializer().newInstance().serializeStream(objBytes)
+    records.foreach(out.writeObject(_))
+    out.close()
+    assert(decoder(objBytes.toByteArray).asIterator.map(r => flat(r.asInstanceOf[(Any, Any)])).toVector == expected)
+  }
+
+  test("flat block encoding rejects a ragged block instead of writing it at the wrong width") {
+    for (block <- Seq(Array(Array(1L, 2L), Array(3L)), Array(Array(1L), Array(2L, 3L)), Array(Array(1L, 2L), Array.empty[Long]))) {
+      val out = new BlockSerializer().newInstance().serializeStream(new ByteArrayOutputStream())
+      intercept[IllegalArgumentException](out.writeValue((0, block)))
+    }
+  }
+
+  test("pull shuffle delivers the enumerated copies through the bypass and the sort-based shuffle writers") {
+    val sc  = spark.sparkContext
+    val g0  = TestHelpers.randomGraph(15, 60, 5)
+    val g   = g0 ++ g0.take(4) // duplicated rows
+    val rnd = new scala.util.Random(11)
+    val bag = Vector.fill(80)(Array.fill(3)(rnd.nextInt(9).toLong - 4)) ++
+      Seq(Array(Long.MinValue, Long.MaxValue, -1L), Array(0L, Long.MaxValue, Long.MinValue))
+    val shared = sc.parallelize(g, 3)
+    // A self-join R(a,b), S(b,c) over one input, and an arity-3 T(a,b,c) over another.
+    val rels = Seq(
+      Rel("R", Vector(0, 1), shared, g.length.toLong),
+      Rel("S", Vector(1, 2), shared, g.length.toLong),
+      Rel("T", Vector(0, 1, 2), sc.parallelize(bag, 2), bag.length.toLong),
+    )
+    val threshold = "spark.shuffle.spill.numElementsForceSpillThreshold"
+    // ≤ 200 cubes take BypassMergeSortShuffleWriter; more take SortShuffleWriter,
+    // made to spill every few records so its spill and merge streams run too.
+    for ((p, handle, spill) <- Seq((Array(2, 3, 2), "BypassMergeSortShuffleHandle", false),
+                                   (Array(15, 15, 1), "BaseShuffleHandle", true))) {
+      val out = HCube.shufflePull(rels, p)
+      assert(out.dependencies.head.asInstanceOf[ShuffleDependency[_, _, _]].shuffleHandle.getClass.getSimpleName == handle)
+      val spilled  = new AtomicLong
+      val listener = new SparkListener {
+        override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+          if (e.taskMetrics != null) spilled.addAndGet(e.taskMetrics.diskBytesSpilled)
+      }
+      sc.addSparkListener(listener)
+      if (spill) SparkEnv.get.conf.set(threshold, "8")
+      val got =
+        try copies(out)
+        finally {
+          SparkEnv.get.conf.remove(threshold)
+          TestListenerBus.drain(sc)
+          sc.removeSparkListener(listener)
+        }
+      val expected = assigned(rels.map(r => r -> (if (r.name == "T") bag else g)), p)
+      assert(got.toSeq.sorted == expected.sorted, s"p = ${p.mkString(",")}")
+      assert((spilled.get > 0) == spill, s"p = ${p.mkString(",")}: ${spilled.get} bytes spilled")
+    }
+  }
+
+  test("property (scalacheck): cubesFor and a reused router list exactly the brute-force matching cubes") {
+    val gen = for {
+      n      <- Gen.choose(1, 4)
+      p      <- Gen.listOfN(n, Gen.choose(1, 4))
+      bound  <- Gen.someOf(0 until n)
+      seed   <- Gen.long
+      attrs   = new scala.util.Random(seed).shuffle(bound.toVector)
+      value   = Gen.oneOf(Gen.choose(-50L, 50L), Gen.oneOf(Long.MinValue, Long.MaxValue, -1L, 0L), Gen.long)
+      tuples <- Gen.nonEmptyListOf(Gen.listOfN(attrs.size, value).map(_.toArray))
+    } yield (p.toArray, attrs, tuples)
+    val prop = Prop.forAll(gen) { case (p, attrs, tuples) =>
+      val stride = p.indices.map(a => p.drop(a + 1).product)
+      def brute(t: Array[Long]) = (0 until p.product).filter { id =>
+        attrs.indices.forall(i => id / stride(attrs(i)) % p(attrs(i)) == HCube.hash(t(i), p(attrs(i))))
+      }
+      val reused = new HCube.Router(attrs, p)
+      tuples.forall { t =>
+        val n = reused.route(t)
+        HCube.cubesFor(attrs, t, p) == brute(t) && reused.ids.take(n).toSeq == brute(t)
+      }
+    }
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
   }
 }

@@ -95,7 +95,15 @@ object LeapfrogBench {
   private def route(attrs: Seq[Vector[Int]], numAttrs: Int, edges: Seq[Array[Long]]): Seq[IndexedSeq[Vector[Array[Long]]]] = {
     val p       = Shares.optimize(attrs.map(a => (a.toSet, edges.length.toLong)), numAttrs, Budget).p
     val perCube = Array.fill(p.product, attrs.length)(Vector.newBuilder[Array[Long]])
-    for (ri <- attrs.indices; t <- edges; c <- HCube.cubesFor(attrs(ri), t, p)) perCube(c)(ri) += t
+    for (ri <- attrs.indices) {
+      // The reused router of the Pull shuffle's map side.
+      val router = new HCube.Router(attrs(ri), p)
+      edges.foreach { t =>
+        val n = router.route(t)
+        var k = 0
+        while (k < n) { perCube(router.ids(k))(ri) += t; k += 1 }
+      }
+    }
     perCube.toSeq.map(_.map(_.result()).toIndexedSeq).filter(_.forall(_.nonEmpty))
   }
 }
