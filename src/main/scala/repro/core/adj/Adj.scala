@@ -9,7 +9,7 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.core.exec.MultiwayJoin
 import repro.core.ghd.{GHD, HyperNode}
-import repro.core.hcube.{Rel, Shares}
+import repro.core.hcube.Rel
 import repro.core.hypergraph.Hypergraph
 import repro.core.sampling.Sampler
 
@@ -40,6 +40,7 @@ object Adj {
   }
 
   /** Per-stage wall-clock report matching the paper's Tables II–IV columns.
+    * Shuffled tuples are the final join's, over its real inputs.
     * Communication, computation and the result size come from the final
     * join's [[MultiwayJoin.Timings]], so computation and the result size are
     * defined once the returned result has been drained (0 before).
@@ -94,31 +95,34 @@ object Adj {
     // no longer needed once the final join has been set up.
     try {
       val tOpt0 = System.nanoTime()
-      val planned = cfg.strategy match {
-        case CoOptimization     => coOptimizedPlan(spark, query, rels, budget, cfg.samples)
-        case CommunicationFirst => communicationFirstPlan(query, rels, budget)
+      val (plan, nodes) = cfg.strategy match {
+        case CoOptimization => coOptimizedPlan(spark, query, rels, budget, cfg.samples)
+        // HCubeJ's fixed plan over the trivial decomposition (one node per
+        // atom): nothing pre-computed, shares over the raw relations.
+        //
+        // HCubeJ selects its attribute order from ALL n! orders using
+        // sketch-style statistics that are computation-oblivious and
+        // unreliable on cyclic joins (this paper's Sec. IV, Fig. 8:
+        // "All-Selected" tracks the worst valid order). We model that with
+        // the query's textual attribute order — for Q4–Q6 an *invalid* order
+        // w.r.t. the hypertree, which defers chord constraints and inflates
+        // the intermediate T^i exactly as Fig. 8 shows.
+        case CommunicationFirst =>
+          (Plan(Set.empty, Vector.empty, (0 until query.numAttrs).toArray, 0.0),
+            query.edges.indices.map(i => HyperNode(Vector(i), query.edges(i), 1.0)).toVector)
       }
-      runPlan(spark, query, rels, budget, planned, tOpt0)
+      runPlan(spark, query, rels, budget, plan, nodes, (System.nanoTime() - tOpt0) / 1e9)
     } finally persisted.foreach(_.unpersist(blocking = false))
   }
 
-  /** What planning decided.
-    *
-    * @param shares   the final join's shares
-    * @param nodes    the nodes whose atoms, or pre-computed bags, make up the
-    *                 final join, in order; `plan.preCompute` indexes them
-    * @param costNote the cost-model constants the plan was chosen with, as a
-    *                 suffix for the plan log line
-    */
-  private final case class Planned(plan: Plan, shares: Shares.Result, nodes: Vector[HyperNode], costNote: String)
-
+  /** GHD + sampling + Algorithm 2: the plan and the hypertree nodes it indexes. */
   private def coOptimizedPlan(
       spark: SparkSession,
       query: Hypergraph,
       rels: Vector[Rel],
       budget: Int,
       samples: Int,
-  ): Planned = {
+  ): (Plan, Vector[HyperNode]) = {
     val tree    = GHD.decompose(query)
     Console.err.println(s"[adj] tree: $tree")
     val sampler = new Sampler(spark, rels, samples = samples)
@@ -126,57 +130,41 @@ object Adj {
       numServers = budget, cubeBudget = budget)
     model.alpha; model.betaPre // force calibration inside the optimization phase
     val plan    = new Optimizer(model).optimize()
-    Planned(plan, model.shares(plan.preCompute), tree.nodes,
-      f" alpha=${model.alpha}%.3g betaRaw=${model.betaRaw}%.3g betaPre=${model.betaPre}%.3g")
+    Console.err.println(
+      f"[adj] model: alpha=${model.alpha}%.3g betaRaw=${model.betaRaw}%.3g betaPre=${model.betaPre}%.3g")
+    (plan, tree.nodes)
   }
 
-  /** HCubeJ's fixed plan over the trivial decomposition (one node per atom):
-    * shares that minimize the shuffled raw tuples, nothing pre-computed.
-    *
-    * HCubeJ selects its attribute order from ALL n! orders using sketch-style
-    * statistics that are computation-oblivious and unreliable on cyclic
-    * joins (this paper's Sec. IV, Fig. 8: "All-Selected" tracks the worst
-    * valid order). We model that with the query's textual attribute order —
-    * for Q4–Q6 an *invalid* order w.r.t. the hypertree, which defers chord
-    * constraints and inflates the intermediate T^i exactly as Fig. 8 shows.
-    */
-  private def communicationFirstPlan(query: Hypergraph, rels: Vector[Rel], budget: Int): Planned = {
-    val shares = Shares.optimize(rels.map(r => (r.attrs.toSet, r.size)), query.numAttrs, budget)
-    val nodes  = query.edges.indices.map(i => HyperNode(Vector(i), query.edges(i), 1.0)).toVector
-    Planned(Plan(Set.empty, Vector.empty, (0 until query.numAttrs).toArray, 0.0), shares, nodes, "")
-  }
-
-  /** Runs a plan for either strategy: pre-computes the bags of
+  /** Runs any plan over the nodes it indexes: pre-computes the bags of
     * `plan.preCompute`, then sets up the one-round join over the nodes' bags
-    * or atoms, in node order. The optimization phase ends here; it began at
-    * `tOpt0`.
+    * or atoms, in node order. Every one of these joins gets the shares that
+    * minimize the tuples shuffled over the relations it actually reads.
+    *
+    * @param optSec the optimization phase's seconds, for the report
     */
-  private def runPlan(
+  private[adj] def runPlan(
       spark: SparkSession,
       query: Hypergraph,
       rels: Vector[Rel],
       budget: Int,
-      planned: Planned,
-      tOpt0: Long,
+      plan: Plan,
+      nodes: Vector[HyperNode],
+      optSec: Double = 0.0,
   ): (RDD[Array[Long]], Report) = {
-    val Planned(plan, shares, nodes, costNote) = planned
-    val optSec = (System.nanoTime() - tOpt0) / 1e9
-    Console.err.println(f"[adj] plan: $plan shares=$shares optSec=$optSec%.1f" + costNote)
-
     val tPre0 = System.nanoTime()
     val bags  = collection.mutable.ArrayBuffer.empty[Rel]
     val finalRels = nodes.indices.flatMap { v =>
-      val node = nodes(v)
-      if (plan.preCompute.contains(v) && node.atomIdxs.length > 1) {
-        bags += precomputeBag(spark, query, rels, node, v, budget)
+      if (plan.preCompute.contains(v)) {
+        bags += precomputeBag(spark, query, rels, nodes(v), v, budget)
         Seq(bags.last)
-      } else node.atomIdxs.map(rels)
+      } else nodes(v).atomIdxs.map(rels)
     }
     val preSec = if (bags.isEmpty) 0.0 else (System.nanoTime() - tPre0) / 1e9
 
-    val (result, t) =
-      try MultiwayJoin.execute(spark, finalRels, plan.ord, shares.p)
+    val (result, t, shares) =
+      try MultiwayJoin.executeOptimized(spark, finalRels, plan.ord, query.numAttrs, budget)
       finally bags.foreach(_.rdd.unpersist(blocking = false))
+    Console.err.println(f"[adj] plan: $plan shares=$shares optSec=$optSec%.1f")
     (result, Report(optSec, preSec, plan, shares.shuffledTuples, t))
   }
 

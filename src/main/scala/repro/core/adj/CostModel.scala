@@ -42,7 +42,7 @@ final class CostModel(
   /** Schemas+sizes of the rewritten query's relations for pre-compute set C. */
   def rewrittenRels(c: Set[Int]): Seq[(Set[Int], Long)] =
     tree.nodes.indices.flatMap { v =>
-      if (c.contains(v) && tree.nodes(v).atomIdxs.length > 1)
+      if (c.contains(v))
         Seq((tree.nodes(v).attrs, math.max(1L, bagSize(v).toLong)))
       else
         tree.nodes(v).atomIdxs.map(i => (query.edges(i), relSizes(i)))

@@ -36,36 +36,23 @@ final class Optimizer(model: CostModel) {
     var accM      = 0.0
 
     while (remaining.nonEmpty) {
-      var bestV    = -1
-      var bestPre  = false
-      var bestCost = Double.PositiveInfinity
-      var bestE    = 0.0
-      var bestM    = 0.0
-      for (v <- remaining.toSeq.sorted) {
-        if (tree.inducesConnectedSubtree(remaining - v)) {
-          val before = remaining - v
-          // Option 1: do not pre-compute v.
-          val e1 = model.costE(before, preComputed = false)
-          val cost1 = accM + accE + e1 + model.costC(c)
-          if (cost1 < bestCost) {
-            bestCost = cost1; bestV = v; bestPre = false; bestE = e1; bestM = 0.0
-          }
-          // Option 2: pre-compute v (only meaningful for multi-atom bags).
-          if (tree.nodes(v).atomIdxs.length > 1) {
-            val m  = model.costM(v)
-            val e2 = model.costE(before, preComputed = true)
-            val cost2 = accM + m + accE + e2 + model.costC(c + v)
-            if (cost2 < bestCost) {
-              bestCost = cost2; bestV = v; bestPre = true; bestE = e2; bestM = m
-            }
-          }
-        }
+      // (cost, v, pre-computed?, cost_E, cost_M) for every node whose removal
+      // leaves the rest connected, "not pre-computed" first; only a
+      // multi-atom bag can be pre-computed. `minBy` keeps the first minimum.
+      val candidates = for {
+        v   <- remaining.toSeq.sorted if tree.inducesConnectedSubtree(remaining - v)
+        pre <- if (tree.nodes(v).atomIdxs.length > 1) Seq(false, true) else Seq(false)
+      } yield {
+        val e = model.costE(remaining - v, preComputed = pre)
+        val m = if (pre) model.costM(v) else 0.0
+        (accM + m + accE + e + model.costC(if (pre) c + v else c), v, pre, e, m)
       }
-      require(bestV >= 0, s"no valid next node from $remaining — tree disconnected?")
-      if (bestPre) { c += bestV; accM += bestM }
-      accE += bestE
-      reversed :+= bestV
-      remaining -= bestV
+      require(candidates.nonEmpty, s"no valid next node from $remaining — tree disconnected?")
+      val (_, v, pre, e, m) = candidates.minBy(_._1)
+      if (pre) { c += v; accM += m }
+      accE += e
+      reversed :+= v
+      remaining -= v
     }
 
     val traversal = reversed.reverse

@@ -1,7 +1,7 @@
 package repro.core.catalyst
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{SparkSession, SparkSessionExtensions}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeReference, EqualTo, Expression, PredicateHelper}
 import org.apache.spark.sql.catalyst.plans.Inner
@@ -21,36 +21,21 @@ import repro.core.hypergraph.{Atom, Hypergraph}
   * co-optimized one-round join. Ordinary (< 3-way, non-Long, or non-equi)
   * joins are left to Spark's built-in planner.
   *
-  * Wire it up either per session via
-  * `spark.experimental.extraStrategies :+= AdjStrategy(spark)` or globally
-  * with `spark.sql.extensions=repro.core.catalyst.AdjExtensions`.
+  * Wire it up per session via
+  * `spark.experimental.extraStrategies :+= AdjStrategy(spark)`;
+  * `spark.repro.adj.samples` sets the sampling budget.
   */
 final case class AdjStrategy(session: SparkSession) extends SparkStrategy with PredicateHelper {
 
-  override def apply(plan: LogicalPlan): Seq[SparkPlan] = {
-    if (!enabled) return Nil
+  override def apply(plan: LogicalPlan): Seq[SparkPlan] =
     flatten(plan) match {
       case Some((leaves, eqs)) if leaves.length >= 3 && eqs.nonEmpty =>
         buildExec(plan, leaves, eqs).toSeq
       case _ => Nil
     }
-  }
 
-  private def enabled: Boolean =
-    session.conf.get("spark.repro.adj.enabled", "true").toBoolean
-
-  private def strategyCfg: Adj.Config = {
-    val strat = session.conf.get("spark.repro.adj.strategy", "co-optimization") match {
-      case "co-optimization"     => Adj.CoOptimization
-      case "communication-first" => Adj.CommunicationFirst
-      case other => throw new IllegalArgumentException(
-        s"spark.repro.adj.strategy must be co-optimization or communication-first, not '$other'")
-    }
-    Adj.Config(
-      strategy = strat,
-      samples = session.conf.getOption("spark.repro.adj.samples").fold(Adj.Config().samples)(_.toInt),
-    )
-  }
+  private def cfg: Adj.Config =
+    Adj.Config(samples = session.conf.getOption("spark.repro.adj.samples").fold(Adj.Config().samples)(_.toInt))
 
   /** Flattens nested inner joins (and residual filters) into leaf plans plus
     * attribute-equality predicates; returns None on any non-conforming node.
@@ -128,7 +113,7 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy with P
     // Map the matched plan's own output columns (which may be a pruned
     // subset of the leaf columns) to their attribute classes.
     val outputClasses = plan.output.map(a => classOf(idx(a.exprId))).toVector
-    Some(AdjJoinExec(plan.output, outputClasses, query, leaves.map(planLater), strategyCfg))
+    Some(AdjJoinExec(plan.output, outputClasses, query, leaves.map(planLater), cfg))
   }
 }
 
@@ -163,10 +148,4 @@ final case class AdjJoinExec(
 
   override protected def withNewChildrenInternal(newChildren: IndexedSeq[SparkPlan]): SparkPlan =
     copy(children = newChildren)
-}
-
-/** `spark.sql.extensions` entry point injecting [[AdjStrategy]]. */
-class AdjExtensions extends (SparkSessionExtensions => Unit) {
-  override def apply(extensions: SparkSessionExtensions): Unit =
-    extensions.injectPlannerStrategy(session => AdjStrategy(session))
 }

@@ -142,9 +142,9 @@ object MultiwayJoin {
     (result, new Timings(commSec, p.product, acc))
   }
 
-  /** Convenience: optimizes shares for the given relations and budget, then
-    * executes. Used for pre-computing hypertree bags, where the sub-query
-    * gets its own share vector.
+  /** Optimizes shares for the given relations and budget, executes, and
+    * also returns the shares: every join ADJ runs, bag or final, gets the
+    * shares that minimize the tuples shuffled over its own inputs.
     */
   def executeOptimized(
       spark: SparkSession,
@@ -152,9 +152,9 @@ object MultiwayJoin {
       ord: Array[Int],
       numAttrs: Int,
       cubeBudget: Int,
-  ): (RDD[Array[Long]], Timings, Array[Int]) = {
+  ): (RDD[Array[Long]], Timings, Shares.Result) = {
     val shares = Shares.optimize(rels.map(r => (r.attrs.toSet, r.size)), numAttrs, cubeBudget)
     val (rdd, t) = execute(spark, rels, ord, shares.p)
-    (rdd, t, shares.p)
+    (rdd, t, shares)
   }
 }

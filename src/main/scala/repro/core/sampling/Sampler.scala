@@ -1,5 +1,7 @@
 package repro.core.sampling
 
+import scala.annotation.unused
+
 import org.apache.spark.sql.SparkSession
 
 import repro.core.hcube.Rel
@@ -34,9 +36,10 @@ import repro.core.sampling.Sampler.{Estimate, MaxExtensionsPerSample, Seed}
   * locally. The distributed one-round machinery lives in `repro.core.hcube`
   * / `repro.core.exec` and is exercised by the execution phases.
   *
-  * Estimates are memoized per (attribute set, relation subset).
+  * Estimates are memoized per (attribute set, relation subset). `spark` is
+  * unused (sampling runs on the driver), but the benchmark passes it.
   */
-final class Sampler(spark: SparkSession, rels: IndexedSeq[Rel], val samples: Int) {
+final class Sampler(@unused spark: SparkSession, rels: IndexedSeq[Rel], val samples: Int) {
 
   private val memo = collection.mutable.Map.empty[(Set[Int], Vector[Int]), Estimate]
 

@@ -20,8 +20,8 @@ object SparkTestData {
       edgeSchema)
 
   /** Binds every atom of `q` to one RDD of the edge list `g`. */
-  def rels(spark: SparkSession, q: Hypergraph, g: Seq[Array[Long]]): Vector[Rel] = {
-    val rdd = spark.sparkContext.parallelize(g, 4)
+  def rels(spark: SparkSession, q: Hypergraph, g: Seq[Array[Long]], parts: Int = 4): Vector[Rel] = {
+    val rdd = spark.sparkContext.parallelize(g, parts)
     q.atoms.indices.map { i =>
       Rel(q.atoms(i).name, q.atoms(i).attrs.map(q.attrId), rdd, g.length.toLong)
     }.toVector

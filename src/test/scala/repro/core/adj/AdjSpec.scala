@@ -13,9 +13,10 @@ import repro.{Oracle, SparkSpec}
 import repro.baselines.SparkSqlJoin
 import repro.core.{CubeEvaluations, SparkTestData, TestHelpers}
 import repro.core.exec.MultiwayJoin
-import repro.core.ghd.GHD
-import repro.core.hcube.Shares
+import repro.core.ghd.{GHD, HyperTree}
+import repro.core.hcube.{Rel, Shares}
 import repro.core.hypergraph.{Hypergraph, QueryLibrary}
+import repro.core.sampling.Sampler
 
 class AdjSpec extends SparkSpec {
 
@@ -26,6 +27,92 @@ class AdjSpec extends SparkSpec {
     val n = df.count()
     assert(report.resultCount == n, report.toString)
     n
+  }
+
+  /** Every traversal of `tree` whose prefixes all induce connected subtrees. */
+  private def validTraversals(tree: HyperTree): Seq[Vector[Int]] = {
+    def extend(prefix: Vector[Int]): Seq[Vector[Int]] =
+      if (prefix.length == tree.nodes.length) Seq(prefix)
+      else tree.nodes.indices
+        .filter(v => !prefix.contains(v) && tree.inducesConnectedSubtree(prefix.toSet + v))
+        .flatMap(v => extend(prefix :+ v))
+    extend(Vector.empty)
+  }
+
+  /** Every valid traversal of `q`'s hypertree, times every set of multi-atom
+    * nodes to pre-compute, with `Optimizer.attributeOrder`'s order.
+    */
+  private def validPlans(q: Hypergraph, tree: HyperTree, rels: Vector[Rel]): Seq[Plan] = {
+    val model = new CostModel(spark, q, tree, new Sampler(spark, rels, samples = 1), rels.map(_.size),
+      numServers = 2, cubeBudget = 2)
+    val order = new Optimizer(model).attributeOrder _
+    val multi = tree.nodes.indices.filter(tree.nodes(_).atomIdxs.length > 1).toSet
+    for (trav <- validTraversals(tree); pre <- multi.subsets().toSeq) yield Plan(pre, trav, order(trav), 0.0)
+  }
+
+  test("every valid plan runs and matches the DuckDB oracle on Q4, Q5 and Q6") {
+    val g = TestHelpers.randomGraph(nodes = 12, edges = 26, seed = 43)
+    val gdf = SparkTestData.graphDf(spark, g)
+    for ((q, numPlans) <- Seq(QueryLibrary.q4 -> 32, QueryLibrary.q5 -> 32, QueryLibrary.q6 -> 8)) {
+      val tree  = GHD.decompose(q)
+      val rels  = SparkTestData.rels(spark, q, g, parts = 1)
+      val plans = validPlans(q, tree, rels)
+      assert(plans.length == numPlans, tree.toString)
+      val rows = plans.map { plan =>
+        val (result, report) = Adj.runPlan(spark, q, rels, budget = 2, plan, tree.nodes)
+        val got = result.map(_.toVector).collect().toSeq
+        assert(report.resultCount == got.length, plan.toString)
+        got
+      }
+      // One DuckDB reference per query: the first plan's rows against it,
+      // every other plan's rows against the first's.
+      val first = Adj.toDf(spark, spark.sparkContext.parallelize(rows.head.map(_.toArray), 2), q.attributes)
+      Oracle.assertEquivalent(first, SparkSqlJoin.sql(q, "e"), "e" -> gdf)
+      val expected = rows.head.map(_.mkString(",")).sorted
+      plans.zip(rows).foreach { case (plan, got) => assert(got.map(_.mkString(",")).sorted == expected, plan.toString) }
+    }
+  }
+
+  test("the final join's shares are optimized over the bags it actually reads") {
+    val g = TestHelpers.randomGraph(nodes = 14, edges = 32, seed = 44)
+    val q = QueryLibrary.q6
+    val tree = GHD.decompose(q)
+    val rels = SparkTestData.rels(spark, q, g)
+    val plan = validPlans(q, tree, rels).find(_.preCompute.nonEmpty).get
+    val budget = 4
+    val bags = plan.preCompute.map(v => v -> Adj.precomputeBag(spark, q, rels, tree.nodes(v), v, budget)).toMap
+    val finalRels = tree.nodes.indices.flatMap(v => bags.get(v).fold[Seq[Rel]](tree.nodes(v).atomIdxs.map(rels))(Seq(_)))
+    bags.values.foreach(_.rdd.unpersist(blocking = false))
+    val shares = Shares.optimize(finalRels.map(r => (r.attrs.toSet, r.size)), q.numAttrs, budget)
+    val (result, report) = Adj.runPlan(spark, q, rels, budget, plan, tree.nodes)
+    assert(report.shuffledTuples == shares.shuffledTuples)
+    assert(report.timings.numCubes == shares.p.product)
+    assert(result.count() == report.resultCount)
+  }
+
+  test("each strategy prints one plan line in the format the benchmark parses") {
+    // The pattern the benchmark's plan signatures read from the `spark.sql` path.
+    val PlanLine =
+      """\[adj\] plan: Plan\(pre=(\{[^}]*\}), traversal=([^,]*), ord=(.*?), est=[^)]*\) shares=p=\([^)]*\) tuples=(\S+)""".r.unanchored
+    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 45)
+    val q = QueryLibrary.q6
+    val data = Vector.fill(q.numAtoms)(spark.sparkContext.parallelize(g, 4))
+    for (strategy <- Seq(Adj.CoOptimization, Adj.CommunicationFirst)) {
+      val err = new java.io.ByteArrayOutputStream
+      val (result, report) = Console.withErr(err)(Adj.run(spark, q, data, smallCfg.copy(strategy = strategy)))
+      val lines = err.toString("UTF-8").linesIterator.filter(_.contains("[adj] plan:")).toSeq
+      assert(lines.length == 1, lines)
+      val p = report.plan
+      lines.head match {
+        case PlanLine(pre, traversal, ord, tuples) =>
+          assert(pre == p.preCompute.toSeq.sorted.mkString("{", ",", "}"), lines.head)
+          assert(traversal == p.traversal.mkString("<"), lines.head)
+          assert(ord == p.ord.mkString(","), lines.head)
+          assert(tuples == report.shuffledTuples.toString, lines.head)
+        case other => fail(s"$strategy: the plan line does not parse: $other")
+      }
+      assert(result.count() == report.resultCount)
+    }
   }
 
   test("co-optimized ADJ matches the oracle on every reported query") {

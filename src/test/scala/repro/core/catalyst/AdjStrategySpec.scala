@@ -88,16 +88,6 @@ class AdjStrategySpec extends SparkSpec {
     assert(!planString(df).contains("AdjJoin"))
   }
 
-  test("the strategy can be disabled by configuration") {
-    val g = TestHelpers.randomGraph(nodes = 12, edges = 24, seed = 65)
-    SparkTestData.graphDf(adjSession, g).createOrReplaceTempView("edges_cat5")
-    adjSession.conf.set("spark.repro.adj.enabled", "false")
-    try {
-      val df = adjSession.sql(SparkSqlJoin.sql(QueryLibrary.q1, "edges_cat5"))
-      assert(!planString(df).contains("AdjJoin"))
-    } finally adjSession.conf.set("spark.repro.adj.enabled", "true")
-  }
-
   test("non-Long columns fall back to the default planner") {
     val g = TestHelpers.randomGraph(nodes = 10, edges = 20, seed = 66)
     val gdf = SparkTestData.graphDf(adjSession, g)
@@ -105,17 +95,6 @@ class AdjStrategySpec extends SparkSpec {
     gdf.createOrReplaceTempView("edges_cat6")
     val df = adjSession.sql(SparkSqlJoin.sql(QueryLibrary.q1, "edges_cat6"))
     assert(!planString(df).contains("AdjJoin"))
-  }
-
-  test("communication-first strategy config is honored") {
-    val g = TestHelpers.randomGraph(nodes = 12, edges = 26, seed = 67)
-    val gdf = SparkTestData.graphDf(adjSession, g)
-    gdf.createOrReplaceTempView("edges_cat7")
-    adjSession.conf.set("spark.repro.adj.strategy", "communication-first")
-    try {
-      val df = adjSession.sql(SparkSqlJoin.sql(QueryLibrary.q1, "edges_cat7"))
-      Oracle.assertEquivalent(df, SparkSqlJoin.sql(QueryLibrary.q1, "e"), "e" -> gdf)
-    } finally adjSession.conf.set("spark.repro.adj.strategy", "co-optimization")
   }
 
   test("a duplicated row joins as often as under SQL bag semantics") {
@@ -183,13 +162,5 @@ class AdjStrategySpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](planWith("spark.repro.adj.samples", n, sql))
       assert(e.getMessage.contains("samples"), e.getMessage)
     }
-  }
-
-  test("an unknown strategy is rejected, naming the allowed values") {
-    SparkTestData.graphDf(adjSession, TestHelpers.randomGraph(nodes = 12, edges = 24, seed = 71))
-      .createOrReplaceTempView("edges_strat")
-    val e = intercept[IllegalArgumentException](
-      planWith("spark.repro.adj.strategy", "hcubej", SparkSqlJoin.sql(QueryLibrary.q1, "edges_strat")))
-    assert(Seq("co-optimization", "communication-first", "hcubej").forall(e.getMessage.contains), e.getMessage)
   }
 }

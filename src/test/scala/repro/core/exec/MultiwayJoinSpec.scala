@@ -30,9 +30,9 @@ class MultiwayJoinSpec extends SparkSpec {
   test("one-round join with non-trivial shares matches the oracle (Q2)") {
     val g = TestHelpers.randomGraph(nodes = 15, edges = 40, seed = 8)
     val q = QueryLibrary.q2
-    val (rdd, _, p) = MultiwayJoin.executeOptimized(
+    val (rdd, _, shares) = MultiwayJoin.executeOptimized(
       spark, rels(q, g), ord = Array(0, 1, 2, 3), numAttrs = 4, cubeBudget = 8)
-    assert(p.product >= 8 && p.product <= 32)
+    assert(shares.p.product >= 8 && shares.p.product <= 32)
     val df = Adj.toDf(spark, rdd, q.attributes)
     Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"),
       "e" -> SparkTestData.graphDf(spark, g))
