@@ -62,7 +62,7 @@ object Adj {
   }
 
   /** Runs a natural join query. Inputs the caller has not persisted are
-    * persisted for the run and released once the final shuffle has run.
+    * persisted for the run and released once the final shuffle has run or failed.
     *
     * @param data one RDD per query atom; columns in the atom's attribute order
     * @return result tuples in ascending attribute-id order (= the query's
@@ -78,22 +78,22 @@ object Adj {
     require(data.length == query.numAtoms, "one RDD per atom required")
     val budget = math.max(2, spark.sparkContext.defaultParallelism)
 
-    // Count each distinct backing RDD once (the workload reuses one graph).
     val persisted   = collection.mutable.ArrayBuffer.empty[RDD[Array[Long]]]
     val sizeByRddId = collection.mutable.Map.empty[Int, Long]
-    val sizes = data.map { r =>
-      sizeByRddId.getOrElseUpdate(r.id, {
-        if (r.getStorageLevel == StorageLevel.NONE) persisted += r.persist(StorageLevel.MEMORY_AND_DISK)
-        r.count()
-      })
-    }
-    val rels = query.atoms.indices.map { i =>
-      Rel(query.atoms(i).name, query.atoms(i).attrs.map(query.attrId), data(i), sizes(i))
-    }.toVector
-
     // The result reads only the final shuffle's output, so the inputs are
-    // no longer needed once the final join has been set up.
+    // released once the final join has been set up or a step has failed.
     try {
+      // Count each distinct backing RDD once (the workload reuses one graph).
+      val sizes = data.map { r =>
+        sizeByRddId.getOrElseUpdate(r.id, {
+          if (r.getStorageLevel == StorageLevel.NONE) persisted += r.persist(StorageLevel.MEMORY_AND_DISK)
+          r.count()
+        })
+      }
+      val rels = query.atoms.indices.map { i =>
+        Rel(query.atoms(i).name, query.atoms(i).attrs.map(query.attrId), data(i), sizes(i))
+      }.toVector
+
       val tOpt0 = System.nanoTime()
       val (plan, nodes) = cfg.strategy match {
         case CoOptimization => coOptimizedPlan(spark, query, rels, budget, cfg.samples)
@@ -151,27 +151,25 @@ object Adj {
       nodes: Vector[HyperNode],
       optSec: Double = 0.0,
   ): (RDD[Array[Long]], Report) = {
-    val tPre0 = System.nanoTime()
-    val bags  = collection.mutable.ArrayBuffer.empty[Rel]
-    val finalRels = nodes.indices.flatMap { v =>
-      if (plan.preCompute.contains(v)) {
-        bags += precomputeBag(spark, query, rels, nodes(v), v, budget)
-        Seq(bags.last)
-      } else nodes(v).atomIdxs.map(rels)
-    }
-    val preSec = if (bags.isEmpty) 0.0 else (System.nanoTime() - tPre0) / 1e9
+    val bags = collection.mutable.ArrayBuffer.empty[RDD[Array[Long]]]
+    try {
+      val tPre0 = System.nanoTime()
+      val finalRels = nodes.indices.flatMap { v =>
+        if (plan.preCompute.contains(v)) Seq(precomputeBag(spark, query, rels, nodes(v), v, budget, bags))
+        else nodes(v).atomIdxs.map(rels)
+      }
+      val preSec = if (bags.isEmpty) 0.0 else (System.nanoTime() - tPre0) / 1e9
 
-    val (result, t, shares) =
-      try MultiwayJoin.executeOptimized(spark, finalRels, plan.ord, query.numAttrs, budget)
-      finally bags.foreach(_.rdd.unpersist(blocking = false))
-    Console.err.println(f"[adj] plan: $plan shares=$shares optSec=$optSec%.1f")
-    (result, Report(optSec, preSec, plan, shares.shuffledTuples, t))
+      val (result, t, shares) = MultiwayJoin.executeOptimized(spark, finalRels, plan.ord, query.numAttrs, budget)
+      Console.err.println(f"[adj] plan: $plan shares=$shares optSec=$optSec%.1f")
+      (result, Report(optSec, preSec, plan, shares.shuffledTuples, t))
+    } finally bags.foreach(_.unpersist(blocking = false))
   }
 
   /** Pre-computes the bag of hypertree node `v` with the one-round executor
-    * itself. The bag is persisted and counted once: the count evaluates its
-    * sub-join and gives its size, and the final join's shuffle reads the
-    * persisted tuples. The caller unpersists the bag after that shuffle.
+    * itself. The bag is added to `persisted`, then counted once: the count
+    * evaluates its sub-join and gives its size, and the final join's shuffle
+    * reads the persisted tuples. The caller unpersists it after that shuffle.
     */
   private[adj] def precomputeBag(
       spark: SparkSession,
@@ -180,6 +178,7 @@ object Adj {
       node: HyperNode,
       v: Int,
       budget: Int,
+      persisted: collection.mutable.Growable[RDD[Array[Long]]],
   ): Rel = {
     // The bag sub-join gets its own connected attribute order: the global
     // plan order is chosen against the whole query's constraints and can
@@ -187,7 +186,8 @@ object Adj {
     val subOrd = Optimizer.connectedOrder(node.atomIdxs.map(query.edges))
     val (rdd, t, _) = MultiwayJoin.executeOptimized(
       spark, node.atomIdxs.map(rels), subOrd, query.numAttrs, budget)
-    val size = rdd.persist(StorageLevel.MEMORY_AND_DISK).count()
+    persisted += rdd.persist(StorageLevel.MEMORY_AND_DISK)
+    val size = rdd.count()
     Console.err.println(s"[adj] precomputed bag$v: $size tuples " +
       f"(comm=${t.communicationSec}%.1fs comp=${t.computationSec}%.1fs)")
     Rel(s"bag$v", node.attrs.toVector.sorted, rdd, size)

@@ -1,5 +1,7 @@
 package repro.core.adj
 
+import repro.core.ghd.HyperTree
+
 /** The query plan ADJ settles on: which hypertree nodes to pre-compute, the
   * hypernode traversal order, and the induced Leapfrog attribute order.
   *
@@ -19,16 +21,14 @@ final case class Plan(preCompute: Set[Int], traversal: Vector[Int], ord: Array[I
   * Each round picks the node to traverse *last* among the remaining ones
   * (the last Leapfrog steps dominate complex-join cost — Fig. 6), choosing
   * between pre-computing its bag or not by comparing
-  * `cost_M + cost_C + cost_E` against `cost_C + cost_E`, and only considers
-  * nodes whose removal leaves the remaining nodes connected in the
-  * hypertree, so every produced order is a valid traversal (Sec. III-A).
+  * `cost_M + cost_C + cost_E` against `cost_C + cost_E`. It only considers
+  * leaves of the remaining subtree of the hypertree, which a tree always
+  * has, so every produced order is a valid traversal (Sec. III-A).
   */
 final class Optimizer(model: CostModel) {
 
-  private val tree  = model.tree
-  private val query = model.query
-
   def optimize(): Plan = {
+    val tree      = model.tree
     var remaining = tree.nodes.indices.toSet
     var c         = Set.empty[Int]
     var reversed  = Vector.empty[Int] // reversed(0) is traversed last
@@ -47,7 +47,6 @@ final class Optimizer(model: CostModel) {
         val m = if (pre) model.costM(v) else 0.0
         (accM + m + accE + e + model.costC(if (pre) c + v else c), v, pre, e, m)
       }
-      require(candidates.nonEmpty, s"no valid next node from $remaining — tree disconnected?")
       val (_, v, pre, e, m) = candidates.minBy(_._1)
       if (pre) { c += v; accM += m }
       accE += e
@@ -56,26 +55,26 @@ final class Optimizer(model: CostModel) {
     }
 
     val traversal = reversed.reverse
-    val ord       = attributeOrder(traversal)
+    val ord       = Optimizer.attributeOrder(tree, traversal)
     Plan(c, traversal, ord, accM + accE + model.costC(c))
   }
+}
+
+object Optimizer {
 
   /** Concatenates each traversed node's not-yet-placed attributes; within a
     * node, higher-degree (more tightly constrained) attributes come first,
     * as [11] prescribes for intra-node ordering.
     */
-  def attributeOrder(traversal: Seq[Int]): Array[Int] = {
+  def attributeOrder(tree: HyperTree, traversal: Seq[Int]): Array[Int] = {
     val placed = collection.mutable.LinkedHashSet.empty[Int]
     traversal.foreach { v =>
       val fresh = tree.nodes(v).attrs.diff(placed.toSet).toSeq
-        .sortBy(a => (-query.atomsWith(a).length, a))
+        .sortBy(a => (-tree.query.atomsWith(a).length, a))
       placed ++= fresh
     }
     placed.toArray
   }
-}
-
-object Optimizer {
 
   /** A *connected* attribute order over the given schemas: start at the
     * highest-degree attribute, then repeatedly append the attribute sharing

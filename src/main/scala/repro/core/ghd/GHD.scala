@@ -14,9 +14,9 @@ final case class HyperNode(atomIdxs: Vector[Int], attrs: Set[Int], width: Double
 
 /** A hypertree decomposition: hypernodes plus join-tree adjacency.
   *
-  * Every atom of the query belongs to exactly one hypernode, and the nodes
-  * satisfy the running-intersection property, so pre-computing any subset of
-  * node joins leaves an (almost) acyclic residual query.
+  * Every atom belongs to exactly one hypernode, and the edges span all nodes
+  * (also of a disconnected query) with running intersection, so pre-computing
+  * any subset of node joins leaves an (almost) acyclic residual query.
   */
 final case class HyperTree(query: Hypergraph, nodes: Vector[HyperNode], edges: Set[(Int, Int)]) {
   /** fhw-style score: the maximum node width. */
@@ -36,7 +36,7 @@ final case class HyperTree(query: Hypergraph, nodes: Vector[HyperNode], edges: S
 
 /** Exhaustive GHD search over set partitions of the query's atoms
   * (Sec. III-A): keep partitions whose bags form an α-acyclic hypergraph
-  * (their max-weight join forest has running intersection), score by (max
+  * (their max-weight join tree has running intersection), score by (max
   * node width, max node arity, node count), minimal first — i.e. minimize
   * the worst pre-computed relation's AGM bound, then prefer small bags and
   * fine granularity.
@@ -76,7 +76,7 @@ object GHD {
 
     // Enumerate set partitions: atom i joins an existing group or opens one.
     // A complete partition that would beat the best is kept iff its bags'
-    // join forest is a join tree.
+    // max-weight spanning tree has running intersection.
     def rec(i: Int, groups: Vector[Vector[Int]]): Unit = {
       if (i == m) {
         val bags   = groups.map(_.flatMap(q.edges).toSet)

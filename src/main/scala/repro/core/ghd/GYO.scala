@@ -2,9 +2,9 @@ package repro.core.ghd
 
 /** α-acyclicity (the property GYO reduction decides) and join trees over a
   * set of bags (attribute sets). By Bernstein–Goodman, a hypergraph is
-  * α-acyclic iff a maximum-weight spanning forest of its bags' intersection
+  * α-acyclic iff a maximum-weight spanning tree of its bags' intersection
   * graph is a join tree. Every other test here counts edges of such a
-  * forest: in a forest, k nodes are joined by at most k − 1 edges, with
+  * tree: in a forest, k nodes are joined by at most k − 1 edges, with
   * equality iff they are connected.
   */
 object GYO {
@@ -15,9 +15,10 @@ object GYO {
     hasRunningIntersection(bs, joinTree(bs))
   }
 
-  /** Builds a join tree over the bags via a maximum-weight spanning forest
-    * on pairwise shared-attribute counts (Bernstein–Goodman: for an acyclic
+  /** Builds a join tree over the bags via a maximum-weight spanning tree on
+    * pairwise shared-attribute counts (Bernstein–Goodman: for an acyclic
     * hypergraph this yields a tree with the running-intersection property).
+    * Pairs sharing no attribute weigh 0, so they only link components.
     *
     * @return adjacency as a set of undirected (i, j) bag-index pairs.
     */
@@ -29,7 +30,6 @@ object GYO {
     val candidates = for {
       i <- 0 until n; j <- i + 1 until n
       w = bags(i).intersect(bags(j)).size
-      if w > 0
     } yield (w, i, j)
     var edges = Set.empty[(Int, Int)]
     for ((_, i, j) <- candidates.sortBy(-_._1)) {

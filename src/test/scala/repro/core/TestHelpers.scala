@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.hypergraph.Hypergraph
+import repro.core.hypergraph.{Atom, Hypergraph}
 
 /** Shared helpers for the unit suites: tiny graph generators and a naive
   * backtracking join evaluator used as ground truth for local (non-Spark)
@@ -40,6 +40,13 @@ object TestHelpers {
     }
     set.toVector.sorted.map { case (a, b) => Array(a, b) }
   }
+
+  /** Two 4-cycles that share no attribute: R1–R4 over (a,b,c,d) and R5–R8
+    * over (e,f,g,h). Their hypergraph has two components.
+    */
+  val twoFourCycles: Hypergraph = Hypergraph(
+    Seq("abcd", "efgh").flatMap(c => c.indices.map(i => Vector(c(i), c((i + 1) % 4)).map(_.toString)))
+      .zipWithIndex.map { case (attrs, i) => Atom(s"R${i + 1}", attrs) }.toVector)
 
   /** Ground-truth natural join by backtracking over atoms (exponential —
     * only for tiny inputs). Result tuples are in attribute-id order.

@@ -4,7 +4,8 @@ import java.util.concurrent.ConcurrentLinkedQueue
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.TestListenerBus
+import org.apache.spark.{SparkException, TestListenerBus}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
@@ -16,7 +17,6 @@ import repro.core.exec.MultiwayJoin
 import repro.core.ghd.{GHD, HyperTree}
 import repro.core.hcube.{Rel, Shares}
 import repro.core.hypergraph.{Hypergraph, QueryLibrary}
-import repro.core.sampling.Sampler
 
 class AdjSpec extends SparkSpec {
 
@@ -42,12 +42,10 @@ class AdjSpec extends SparkSpec {
   /** Every valid traversal of `q`'s hypertree, times every set of multi-atom
     * nodes to pre-compute, with `Optimizer.attributeOrder`'s order.
     */
-  private def validPlans(q: Hypergraph, tree: HyperTree, rels: Vector[Rel]): Seq[Plan] = {
-    val model = new CostModel(spark, q, tree, new Sampler(spark, rels, samples = 1), rels.map(_.size),
-      numServers = 2, cubeBudget = 2)
-    val order = new Optimizer(model).attributeOrder _
+  private def validPlans(tree: HyperTree): Seq[Plan] = {
     val multi = tree.nodes.indices.filter(tree.nodes(_).atomIdxs.length > 1).toSet
-    for (trav <- validTraversals(tree); pre <- multi.subsets().toSeq) yield Plan(pre, trav, order(trav), 0.0)
+    for (trav <- validTraversals(tree); pre <- multi.subsets().toSeq)
+      yield Plan(pre, trav, Optimizer.attributeOrder(tree, trav), 0.0)
   }
 
   test("every valid plan runs and matches the DuckDB oracle on Q4, Q5 and Q6") {
@@ -56,7 +54,7 @@ class AdjSpec extends SparkSpec {
     for ((q, numPlans) <- Seq(QueryLibrary.q4 -> 32, QueryLibrary.q5 -> 32, QueryLibrary.q6 -> 8)) {
       val tree  = GHD.decompose(q)
       val rels  = SparkTestData.rels(spark, q, g, parts = 1)
-      val plans = validPlans(q, tree, rels)
+      val plans = validPlans(tree)
       assert(plans.length == numPlans, tree.toString)
       val rows = plans.map { plan =>
         val (result, report) = Adj.runPlan(spark, q, rels, budget = 2, plan, tree.nodes)
@@ -78,11 +76,12 @@ class AdjSpec extends SparkSpec {
     val q = QueryLibrary.q6
     val tree = GHD.decompose(q)
     val rels = SparkTestData.rels(spark, q, g)
-    val plan = validPlans(q, tree, rels).find(_.preCompute.nonEmpty).get
+    val plan = validPlans(tree).find(_.preCompute.nonEmpty).get
     val budget = 4
-    val bags = plan.preCompute.map(v => v -> Adj.precomputeBag(spark, q, rels, tree.nodes(v), v, budget)).toMap
+    val persisted = collection.mutable.ArrayBuffer.empty[RDD[Array[Long]]]
+    val bags = plan.preCompute.map(v => v -> Adj.precomputeBag(spark, q, rels, tree.nodes(v), v, budget, persisted)).toMap
     val finalRels = tree.nodes.indices.flatMap(v => bags.get(v).fold[Seq[Rel]](tree.nodes(v).atomIdxs.map(rels))(Seq(_)))
-    bags.values.foreach(_.rdd.unpersist(blocking = false))
+    persisted.foreach(_.unpersist(blocking = false))
     val shares = Shares.optimize(finalRels.map(r => (r.attrs.toSet, r.size)), q.numAttrs, budget)
     val (result, report) = Adj.runPlan(spark, q, rels, budget, plan, tree.nodes)
     assert(report.shuffledTuples == shares.shuffledTuples)
@@ -170,6 +169,20 @@ class AdjSpec extends SparkSpec {
     assert(result.count() == report.resultCount)
   }
 
+  test("both strategies match the naive join on two 4-cycles that share no attribute") {
+    val g = TestHelpers.randomGraph(nodes = 8, edges = 14, seed = 5)
+    val q = TestHelpers.twoFourCycles
+    val expected = TestHelpers.naiveJoin(q, TestHelpers.bindGraph(q, g))
+    assert(expected.size == 23716)
+    val data = Vector.fill(q.numAtoms)(spark.sparkContext.parallelize(g, 4))
+    for (strategy <- Seq(Adj.CoOptimization, Adj.CommunicationFirst)) {
+      val (result, report) = Adj.run(spark, q, data, smallCfg.copy(strategy = strategy))
+      val rows = result.map(_.toVector).collect()
+      assert(report.resultCount == rows.length, strategy.toString)
+      assert(rows.length == expected.size && rows.toSet == expected, strategy.toString)
+    }
+  }
+
   test("both strategies agree on the easy queries Q7-Q11") {
     val g = TestHelpers.randomGraph(nodes = 10, edges = 18, seed = 34)
     val gdf = SparkTestData.graphDf(spark, g)
@@ -251,7 +264,7 @@ class AdjSpec extends SparkSpec {
     assert(v >= 0, tree.toString)
     val rs = SparkTestData.rels(spark, q, g)
     CubeEvaluations.during(spark.sparkContext) { evals =>
-      val bag = Adj.precomputeBag(spark, q, rs, tree.nodes(v), v, budget = 8)
+      val bag = Adj.precomputeBag(spark, q, rs, tree.nodes(v), v, budget = 8, collection.mutable.ArrayBuffer.empty)
       val Seq((bagJoin, bagCubes)) = evals.perJoin().toSeq
       assert(bagCubes.values.forall(_ == 1), bagCubes)
       assert(bag.rdd.count() == bag.size) // read from the persisted bag
@@ -286,7 +299,8 @@ class AdjSpec extends SparkSpec {
     val v = tree.nodes.indexWhere(_.atomIdxs.length > 1)
     val node = tree.nodes(v)
     val withDup = g ++ g.take(1)
-    val bag = Adj.precomputeBag(spark, q, SparkTestData.rels(spark, q, withDup), node, v, budget = 8)
+    val bag = Adj.precomputeBag(spark, q, SparkTestData.rels(spark, q, withDup), node, v, budget = 8,
+      collection.mutable.ArrayBuffer.empty)
     try {
       assert(bag.rdd.count() == bag.size)
       assert(bag.rdd.map(_.toVector).distinct().count() < bag.size, "the duplicate joins nothing")
@@ -295,6 +309,23 @@ class AdjSpec extends SparkSpec {
       Oracle.assertEquivalent(Adj.toDf(spark, bag.rdd, node.attrs.toVector.sorted.map(q.attributes)),
         SparkSqlJoin.sql(sub, "e"), "e" -> gdf)
     } finally bag.rdd.unpersist(blocking = false)
+  }
+
+  test("runPlan releases the bags it pre-computed when a later bag fails") {
+    val sc = spark.sparkContext
+    val g = TestHelpers.randomGraph(nodes = 14, edges = 30, seed = 46)
+    val q = QueryLibrary.q4
+    val tree = GHD.decompose(q)
+    assert(Seq(0, 1).forall(tree.nodes(_).atomIdxs.length > 1), tree.toString)
+    // Node 1's atoms read an input that fails, so bag 1 fails after bag 0 is persisted.
+    val failing = sc.parallelize(g, 2).map[Array[Long]](_ => throw new IllegalStateException("input failed"))
+    val rels = SparkTestData.rels(spark, q, g).zipWithIndex.map { case (r, i) =>
+      if (tree.nodes(1).atomIdxs.contains(i)) r.copy(rdd = failing) else r
+    }
+    val plan = validPlans(tree).find(_.preCompute == Set(0, 1)).get
+    val before = sc.getPersistentRDDs.keySet
+    intercept[SparkException](Adj.runPlan(spark, q, rels, budget = 2, plan, tree.nodes))
+    assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty, sc.getPersistentRDDs)
   }
 
   test("Adj.run releases the inputs it persisted and leaves cached ones alone") {
@@ -314,5 +345,14 @@ class AdjSpec extends SparkSpec {
       assert(fresh.getStorageLevel == StorageLevel.NONE)
     }
     cached.unpersist()
+  }
+
+  test("Adj.run releases the inputs it persisted when a later input fails") {
+    val sc = spark.sparkContext
+    val g = TestHelpers.randomGraph(nodes = 14, edges = 30, seed = 47)
+    val failing = sc.parallelize(g, 2).map[Array[Long]](_ => throw new IllegalStateException("input failed"))
+    val before = sc.getPersistentRDDs.keySet
+    intercept[SparkException](Adj.run(spark, QueryLibrary.q1, Vector(sc.parallelize(g, 4), failing, failing), smallCfg))
+    assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty, sc.getPersistentRDDs)
   }
 }

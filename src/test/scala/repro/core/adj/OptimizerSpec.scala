@@ -4,14 +4,13 @@ import repro.SparkSpec
 import repro.core.TestHelpers
 import repro.core.ghd.GHD
 import repro.core.hcube.Rel
-import repro.core.hypergraph.QueryLibrary
+import repro.core.hypergraph.{Hypergraph, QueryLibrary}
 import repro.core.sampling.Sampler
 
 class OptimizerSpec extends SparkSpec {
 
-  private def optimizerFor(qname: String, seed: Long = 51) = {
-    val q = QueryLibrary.all(qname)
-    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = seed)
+  private def optimizerFor(q: Hypergraph) = {
+    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 51)
     val rdd = spark.sparkContext.parallelize(g, 4)
     val rels = q.atoms.indices.map { i =>
       Rel(q.atoms(i).name, q.atoms(i).attrs.map(q.attrId), rdd, g.length.toLong)
@@ -23,20 +22,21 @@ class OptimizerSpec extends SparkSpec {
   }
 
   test("plan traversal is a valid connected traversal of the hypertree") {
-    for (qn <- Seq("Q2", "Q4", "Q5", "Q6")) {
-      val (_, tree, opt) = optimizerFor(qn)
+    val queries = Seq("Q2", "Q4", "Q5", "Q6").map(QueryLibrary.all) :+ TestHelpers.twoFourCycles
+    for (q <- queries) {
+      val (_, tree, opt) = optimizerFor(q)
       val plan = opt.optimize()
-      assert(plan.traversal.sorted == tree.nodes.indices.toVector, s"$qn: $plan")
+      assert(plan.traversal.sorted == tree.nodes.indices.toVector, s"$q: $plan")
       plan.traversal.indices.foreach { i =>
         assert(tree.inducesConnectedSubtree(plan.traversal.take(i + 1).toSet),
-          s"$qn: prefix $i of ${plan.traversal} disconnected")
+          s"$q: prefix $i of ${plan.traversal} disconnected")
       }
     }
   }
 
   test("attribute order covers all attributes, grouped by traversal") {
     for (qn <- Seq("Q1", "Q2", "Q4", "Q6")) {
-      val (q, tree, opt) = optimizerFor(qn)
+      val (q, tree, opt) = optimizerFor(QueryLibrary.all(qn))
       val plan = opt.optimize()
       assert(plan.ord.sorted.toSeq == (0 until q.numAttrs), s"$qn: ${plan.ord.toSeq}")
       // Every attribute of traversal prefix k appears before attrs exclusive
@@ -58,7 +58,7 @@ class OptimizerSpec extends SparkSpec {
 
   test("pre-computed nodes are always multi-atom bags") {
     for (qn <- Seq("Q2", "Q4", "Q5", "Q6")) {
-      val (_, tree, opt) = optimizerFor(qn)
+      val (_, tree, opt) = optimizerFor(QueryLibrary.all(qn))
       val plan = opt.optimize()
       plan.preCompute.foreach { v =>
         assert(tree.nodes(v).atomIdxs.length > 1, s"$qn pre-computes single atom: $plan")
@@ -68,7 +68,7 @@ class OptimizerSpec extends SparkSpec {
 
   test("single-node trees yield the trivial traversal") {
     for (qn <- Seq("Q1", "Q3")) {
-      val (_, tree, opt) = optimizerFor(qn)
+      val (_, tree, opt) = optimizerFor(QueryLibrary.all(qn))
       val plan = opt.optimize()
       assert(tree.nodes.length == 1)
       assert(plan.traversal == Vector(0))
@@ -77,20 +77,23 @@ class OptimizerSpec extends SparkSpec {
 
   test("estimated cost is finite and non-negative") {
     for (qn <- Seq("Q1", "Q4", "Q6")) {
-      val (_, _, opt) = optimizerFor(qn)
+      val (_, _, opt) = optimizerFor(QueryLibrary.all(qn))
       val plan = opt.optimize()
       assert(plan.estimatedSec >= 0 && java.lang.Double.isFinite(plan.estimatedSec))
     }
   }
 
   test("attributeOrder puts higher-degree attributes first within a node") {
-    val (q, tree, opt) = optimizerFor("Q5")
-    val traversal = opt.optimize().traversal
-    val ord = opt.attributeOrder(traversal)
-    // Within the first node, degrees must be non-increasing.
-    val firstAttrs = tree.nodes(traversal.head).attrs
-    val prefix = ord.takeWhile(firstAttrs.contains)
-    val degs = prefix.map(a => q.atomsWith(a).length).toSeq
-    assert(degs == degs.sortBy(-(_: Int)), s"degrees $degs not non-increasing")
+    val q = QueryLibrary.q5
+    val tree = GHD.decompose(q)
+    for (first <- tree.nodes.indices) {
+      val traversal = first +: tree.nodes.indices.filter(_ != first)
+      val ord = Optimizer.attributeOrder(tree, traversal)
+      // Within the first node, degrees must be non-increasing.
+      val prefix = ord.takeWhile(tree.nodes(first).attrs.contains)
+      val degs = prefix.map(a => q.atomsWith(a).length).toSeq
+      assert(prefix.length == tree.nodes(first).attrs.size)
+      assert(degs == degs.sortBy(-(_: Int)), s"degrees $degs not non-increasing")
+    }
   }
 }

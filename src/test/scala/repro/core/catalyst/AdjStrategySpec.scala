@@ -4,6 +4,9 @@ import java.util.concurrent.ConcurrentLinkedQueue
 
 import scala.jdk.CollectionConverters._
 
+import org.scalacheck.{Gen, Prop, Test => ScTest}
+import org.scalacheck.rng.Seed
+
 import org.apache.spark.TestListenerBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -15,6 +18,7 @@ import repro.core.{SparkTestData, TestHelpers}
 import repro.core.hypergraph.QueryLibrary
 
 class AdjStrategySpec extends SparkSpec {
+  import AdjStrategySpec.Table
 
   /** A session clone with the ADJ strategy installed. */
   private lazy val adjSession: SparkSession = {
@@ -78,6 +82,16 @@ class AdjStrategySpec extends SparkSpec {
     val df = adjSession.sql(SparkSqlJoin.sql(QueryLibrary.q4, "edges_cat3"))
     assert(planString(df).contains("AdjJoin"), planString(df))
     Oracle.assertEquivalent(df, SparkSqlJoin.sql(QueryLibrary.q4, "e"), "e" -> gdf)
+  }
+
+  test("two 4-cycles that share no attribute are planned as AdjJoin and match the oracle") {
+    val g = TestHelpers.randomGraph(nodes = 8, edges = 14, seed = 5)
+    val gdf = SparkTestData.graphDf(adjSession, g)
+    gdf.createOrReplaceTempView("edges_two_cycles")
+    val q = TestHelpers.twoFourCycles
+    val df = adjSession.sql(SparkSqlJoin.sql(q, "edges_two_cycles"))
+    assert(planString(df).contains("AdjJoin"), planString(df))
+    Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"), "e" -> gdf)
   }
 
   test("binary joins are left to the default planner") {
@@ -162,5 +176,81 @@ class AdjStrategySpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](planWith("spark.repro.adj.samples", n, sql))
       assert(e.getMessage.contains("samples"), e.getMessage)
     }
+  }
+
+  // Values 0–3; a table may be empty, repeat rows, or hold NULLs. Its
+  // variables come from 0–2, 3–5 or 0–5, so joins often fall apart into
+  // groups that share no variable.
+  private val tableGen: Gen[Table] = for {
+    arity <- Gen.choose(1, 3)
+    vars  <- Gen.oneOf(0 until 3, 3 until 6, 0 until 6).flatMap(Gen.pick(arity, _))
+    size  <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 12))
+    nulls <- Gen.frequency(2 -> false, 1 -> true)
+    value  = Gen.choose(0L, 3L).map(java.lang.Long.valueOf)
+    cell   = if (nulls) Gen.frequency(1 -> Gen.const(null: java.lang.Long), 4 -> value) else value
+    rows  <- Gen.listOfN(size, Gen.listOfN(arity, cell).map(_.toVector))
+    dups  <- Gen.choose(0, 2)
+  } yield Table(vars.toVector, (rows ++ rows.take(dups)).toVector)
+
+  /** SQL joining the tables, named `name(i)`: each variable's first column
+    * equals each of its later ones, and every column is selected.
+    */
+  private def joinSql(tables: Seq[Table], name: Int => String): String = {
+    val cols = for ((t, i) <- tables.zipWithIndex; (v, c) <- t.vars.zipWithIndex) yield (v, s"t$i.c$c")
+    val eqs  = cols.groupBy(_._1).values.flatMap(cs => cs.tail.map(c => s"${cs.head._2} = ${c._2}"))
+    s"SELECT ${cols.map { case (_, c) => s"$c AS ${c.replace('.', '_')}" }.mkString(", ")} " +
+      s"FROM ${tables.indices.map(i => s"${name(i)} t$i").mkString(", ")}" +
+      (if (eqs.isEmpty) "" else eqs.mkString(" WHERE ", " AND ", ""))
+  }
+
+  test("property (scalacheck): random joins through AdjStrategy match the DuckDB oracle") {
+    val seen = collection.mutable.Set.empty[String]
+    val prop = Prop.forAllNoShrink(Gen.choose(2, 4).flatMap(Gen.listOfN(_, tableGen))) { tables =>
+      val name = (i: Int) => s"prop_t$i"
+      val dfs = tables.map { t =>
+        val schema = StructType(t.vars.indices.map(c => StructField(s"c$c", LongType, t.nullable)))
+        adjSession.createDataFrame(adjSession.sparkContext.parallelize(t.rows.map(Row.fromSeq), 2), schema)
+      }
+      dfs.zipWithIndex.foreach { case (df, i) => df.createOrReplaceTempView(name(i)) }
+      val uses = tables.flatMap(_.vars).groupBy(identity).view.mapValues(_.length).toMap
+      // AdjStrategy takes the whole join when it has ≥ 3 leaves, ≥ 1 equality
+      // and no nullable column that joins nothing. It may still take a
+      // sub-join of a join it rejects.
+      val accepts = tables.length >= 3 && uses.values.exists(_ > 1) &&
+        !tables.exists(t => t.nullable && t.vars.exists(uses(_) == 1))
+      val df = adjSession.sql(joinSql(tables, name))
+      val planned = planString(df).contains("AdjJoin")
+      if (accepts) {
+        val linked = (i: Int, j: Int) => (tables(i).vars.toSet & tables(j).vars.toSet).nonEmpty
+        var reach = Set(0)
+        for (_ <- tables.indices) reach ++= tables.indices.filter(j => reach.exists(linked(_, j)))
+        seen ++= tables.map(t => s"arity ${t.vars.length}") ++ Seq(
+          Option.when(reach.size < tables.length)("disconnected"),
+          Option.when(tables.exists(_.rows.isEmpty))("empty relation"),
+          Option.when(tables.exists(t => t.rows.distinct.length < t.rows.length))("duplicate rows"),
+          Option.when(tables.exists(t => t.rows.exists(r => r.indices.exists(c => r(c) == null && uses(t.vars(c)) > 1))))(
+            "NULL join key"),
+        ).flatten
+      }
+      seen += (if (accepts) "accepted" else "rejected")
+      Oracle.assertEquivalent(df, joinSql(tables, name), tables.indices.map(i => name(i) -> dfs(i)): _*)
+      Prop(planned || !accepts) :| s"an accepted join was not planned as AdjJoin:\n${planString(df)}"
+    }
+    val old = adjSession.conf.getOption("spark.repro.adj.samples")
+    adjSession.conf.set("spark.repro.adj.samples", "10")
+    val res =
+      try ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(Seed(16L)), prop)
+      finally old.fold(adjSession.conf.unset("spark.repro.adj.samples"))(adjSession.conf.set("spark.repro.adj.samples", _))
+    assert(res.passed, res.status.toString)
+    assert(seen == Set("arity 1", "arity 2", "arity 3", "disconnected", "empty relation", "duplicate rows",
+      "NULL join key", "accepted", "rejected"), seen)
+  }
+}
+
+object AdjStrategySpec {
+
+  /** One table of a random join: column i binds query variable `vars(i)`. */
+  private final case class Table(vars: Vector[Int], rows: Vector[Vector[java.lang.Long]]) {
+    def nullable: Boolean = rows.exists(_.contains(null))
   }
 }

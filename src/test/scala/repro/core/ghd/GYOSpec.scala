@@ -128,6 +128,14 @@ class GYOSpec extends AnyFunSuite {
     bags <- Gen.listOfN(n, Gen.choose(0, 3).flatMap(k => Gen.listOfN(k, Gen.choose(0, 5))).map(_.toSet))
   } yield bags.toVector
 
+  /** Connected components of the graph that links bags sharing an attribute. */
+  private def overlapComponents(bags: IndexedSeq[Set[Int]]): Int = {
+    val parent = Array.tabulate(bags.length)(identity)
+    def find(x: Int): Int = if (parent(x) == x) x else find(parent(x))
+    for (i <- bags.indices; j <- i + 1 until bags.length if (bags(i) & bags(j)).nonEmpty) parent(find(i)) = find(j)
+    bags.indices.count(i => find(i) == i)
+  }
+
   /** The shapes a bag set shows, so each property can assert it saw them all. */
   private def shapes(bags: IndexedSeq[Set[Int]]): Set[String] = {
     val pairs = for (i <- bags.indices; j <- bags.indices if i != j) yield (bags(i), bags(j))
@@ -146,9 +154,12 @@ class GYOSpec extends AnyFunSuite {
     val prop = Prop.forAll(bagSets) { bags =>
       val acyclic = acyclicBySearch(bags)
       seen ++= shapes(bags) + (if (acyclic) "acyclic" else "cyclic")
+      // joinTree spans every bag; its edges between bags that share no
+      // attribute only link the overlap graph's components.
       val tree = GYO.joinTree(bags)
       GYO.isAcyclic(bags) == acyclic && isForest(bags.length, tree) &&
-        tree.forall { case (i, j) => (bags(i) & bags(j)).nonEmpty }
+        tree.size == (bags.length - 1).max(0) && connectedBfs(bags.indices.toSet, tree) &&
+        tree.count { case (i, j) => (bags(i) & bags(j)).isEmpty } == (overlapComponents(bags) - 1).max(0)
     }
     val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(400), prop)
     assert(res.passed, res.status.toString)
