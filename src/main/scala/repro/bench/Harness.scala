@@ -16,24 +16,15 @@ import repro.data.GraphData
   */
 object Harness {
 
-  /** One row of a Tables II–IV style result. */
+  /** One row of a Tables II–IV style result: the run's report, or
+    * `Left("timeout")` or `Left(error)` when it has none.
+    */
   final case class CaseResult(
       dataset: String,
       query: String,
-      strategy: String,
-      optimizationSec: Double,
-      preComputingSec: Double,
-      communicationSec: Double,
-      computationSec: Double,
-      totalSec: Double,
-      resultCount: Long,
-      timedOut: Boolean,
-      failure: Option[String],
-  ) {
-    def fmt(v: Double): String = if (timedOut) "-" else f"$v%.1f"
-    def totalStr(budget: Double): String =
-      if (timedOut) s"> ${budget.toInt}" else f"$totalSec%.1f"
-  }
+      strategy: Adj.Strategy,
+      outcome: Either[String, Adj.Report],
+  )
 
   /** The session every job runs in: master `SPARK_MASTER` (default
     * `local[*]`), broadcast joins off.
@@ -77,36 +68,19 @@ object Harness {
       queryName: String,
       strategy: Adj.Strategy,
       budgetSec: Double,
-      samples: Int = Adj.Config().samples,
   ): CaseResult = {
-    val spec  = GraphData.byName(dataset)
     val query = QueryLibrary.all(queryName)
-    val stratName = strategy match {
-      case Adj.CoOptimization     => "Co-Optimization"
-      case Adj.CommunicationFirst => "Communication-First"
-    }
-    val graph = GraphData.graph(spark, spec).cache()
+    val graph = GraphData.graph(spark, GraphData.byName(dataset)).cache()
     val outcome =
       try {
         graph.count() // load the database "into memory" — excluded, as in the paper
         withBudget(spark, budgetSec) {
-          val (df, report) = Adj.runOnGraph(spark, query, graph,
-            Adj.Config(strategy = strategy, samples = samples))
+          val (df, report) = Adj.runOnGraph(spark, query, graph, Adj.Config(strategy))
           df.count() // the final join runs here; the report's computation times it
           report
         }
       } finally graph.unpersist()
-    outcome match {
-      case Right(r) =>
-        CaseResult(dataset, queryName, stratName, r.optimizationSec, r.preComputingSec,
-          r.communicationSec, r.computationSec, r.totalSec, r.resultCount, timedOut = false, None)
-      case Left("timeout") =>
-        CaseResult(dataset, queryName, stratName, 0, 0, 0, 0, budgetSec, -1,
-          timedOut = true, None)
-      case Left(err) =>
-        CaseResult(dataset, queryName, stratName, 0, 0, 0, 0, 0, -1,
-          timedOut = false, Some(err))
-    }
+    CaseResult(dataset, queryName, strategy, outcome)
   }
 
   /** Renders rows in the layout of the paper's Tables II–IV. */
@@ -115,38 +89,43 @@ object Harness {
     sb ++= s"== $title ==\n"
     sb ++= f"${"query"}%-5s ${"strategy"}%-20s ${"Optimization"}%13s ${"Pre-Computing"}%14s " +
       f"${"Communication"}%14s ${"Computation"}%12s ${"Total"}%9s ${"|result|"}%10s\n"
+    val over = s"> ${budgetSec.toInt}"
     rows.foreach { r =>
-      val cells =
-        if (r.failure.isDefined) Seq("FAILED", r.failure.get.take(40), "", "", "")
-        else Seq(r.fmt(r.optimizationSec), r.fmt(r.preComputingSec),
-          r.fmt(r.communicationSec), if (r.timedOut) s"> ${budgetSec.toInt}" else f"${r.computationSec}%.1f",
-          r.totalStr(budgetSec))
-      sb ++= f"${r.query}%-5s ${r.strategy}%-20s ${cells(0)}%13s ${cells(1)}%14s " +
-        f"${cells(2)}%14s ${cells(3)}%12s ${cells(4)}%9s ${if (r.resultCount >= 0) r.resultCount.toString else "-"}%10s\n"
+      val strategy = r.strategy match {
+        case Adj.CoOptimization     => "Co-Optimization"
+        case Adj.CommunicationFirst => "Communication-First"
+      }
+      val cells = r.outcome match {
+        case Right(rep) =>
+          Seq(rep.optimizationSec, rep.preComputingSec, rep.communicationSec, rep.computationSec, rep.totalSec)
+            .map(v => f"$v%.1f") :+ rep.resultCount.toString
+        case Left("timeout") => Seq("-", "-", "-", over, over, "-")
+        case Left(err)       => Seq("FAILED", err.take(40), "", "", "", "-")
+      }
+      sb ++= f"${r.query}%-5s $strategy%-20s ${cells(0)}%13s ${cells(1)}%14s " +
+        f"${cells(2)}%14s ${cells(3)}%12s ${cells(4)}%9s ${cells(5)}%10s\n"
     }
     sb.result()
   }
 
   /** Table II/III/IV driver: Q4–Q6 under both strategies on one dataset. */
-  def costTable(spark: SparkSession, dataset: String, budgetSec: Double,
-                samples: Int = Adj.Config().samples): Seq[CaseResult] = {
+  def costTable(spark: SparkSession, dataset: String, budgetSec: Double): Seq[CaseResult] =
     for {
       q     <- Seq("Q4", "Q5", "Q6")
       strat <- Seq(Adj.CoOptimization, Adj.CommunicationFirst)
-    } yield runCase(spark, dataset, q, strat, budgetSec, samples)
-  }
+    } yield runCase(spark, dataset, q, strat, budgetSec)
 
-  /** What makes a cost table wrong: a Co-Optimization case that failed or
-    * timed out, or a query that both strategies finished with different
-    * result counts.
+  /** What makes a cost table wrong: a Co-Optimization case without a report
+    * (failed or timed out), or a query that both strategies finished with
+    * different result counts.
     */
   def faults(rows: Seq[CaseResult]): Seq[String] = {
-    val incomplete = rows.filter(r => r.strategy == "Co-Optimization" && (r.timedOut || r.failure.isDefined))
+    val incomplete = rows.filter(r => r.strategy == Adj.CoOptimization && r.outcome.isLeft)
       .map(r => s"${r.query}: co-optimization did not complete: $r")
-    val disagreeing = rows.filter(r => !r.timedOut && r.failure.isEmpty).groupBy(_.query).toSeq.sortBy(_._1)
-      .collect { case (q, rs) if rs.map(_.resultCount).distinct.size > 1 =>
-        s"$q: strategies disagree (${rs.map(_.resultCount).mkString(" vs ")})"
-      }
+    val disagreeing = rows.groupBy(_.query).toSeq.sortBy(_._1).flatMap { case (q, rs) =>
+      val counts = rs.flatMap(_.outcome.toOption).map(_.resultCount)
+      Option.when(counts.distinct.size > 1)(s"$q: strategies disagree (${counts.mkString(" vs ")})")
+    }
     incomplete ++ disagreeing
   }
 

@@ -22,8 +22,10 @@ import repro.core.hypergraph.{Atom, Hypergraph}
   * joins are left to Spark's built-in planner.
   *
   * Wire it up per session via
-  * `spark.experimental.extraStrategies :+= AdjStrategy(spark)`;
-  * `spark.repro.adj.samples` sets the sampling budget.
+  * `spark.experimental.extraStrategies :+= AdjStrategy(spark)`. It reads no
+  * settings: the join runs with `Adj.Config`'s defaults. `session` is unused;
+  * it keeps the `SparkSession => Strategy` shape of Spark's planner
+  * extensions.
   */
 final case class AdjStrategy(session: SparkSession) extends SparkStrategy with PredicateHelper {
 
@@ -33,9 +35,6 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy with P
         buildExec(plan, leaves, eqs).toSeq
       case _ => Nil
     }
-
-  private def cfg: Adj.Config =
-    Adj.Config(samples = session.conf.getOption("spark.repro.adj.samples").fold(Adj.Config().samples)(_.toInt))
 
   /** Flattens nested inner joins (and residual filters) into leaf plans plus
     * attribute-equality predicates; returns None on any non-conforming node.
@@ -113,7 +112,7 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy with P
     // Map the matched plan's own output columns (which may be a pruned
     // subset of the leaf columns) to their attribute classes.
     val outputClasses = plan.output.map(a => classOf(idx(a.exprId))).toVector
-    Some(AdjJoinExec(plan.output, outputClasses, query, leaves.map(planLater), cfg))
+    Some(AdjJoinExec(plan.output, outputClasses, query, leaves.map(planLater)))
   }
 }
 
@@ -126,7 +125,6 @@ final case class AdjJoinExec(
     columnClass: Seq[Int],
     query: Hypergraph,
     children: Seq[SparkPlan],
-    cfg: Adj.Config,
 ) extends SparkPlan {
 
   override protected def doExecute(): RDD[InternalRow] = {
@@ -139,7 +137,7 @@ final case class AdjJoinExec(
       if (child.deterministic) shared.getOrElseUpdate(child.canonicalized, Adj.longRows(child.execute()))
       else Adj.longRows(child.execute())
     }
-    val (result, report) = Adj.run(spark, query, data, cfg)
+    val (result, report) = Adj.run(spark, query, data)
     logInfo(s"ADJ report before the join runs: $report")
     // Result columns are ascending attribute id == class id; each output
     // column reads its class's value.

@@ -42,19 +42,29 @@ final case class HyperTree(query: Hypergraph, nodes: Vector[HyperNode], edges: S
   * fine granularity.
   *
   * m ≤ 10 atoms in the paper's workload ⇒ Bell(10) ≈ 1.2e5 partitions;
-  * per-group widths are memoized so the search runs in well under a second.
+  * a partial partition is cut once a lower bound on its width, which only
+  * grows as its groups grow, exceeds the best width found, and bag bounds
+  * and group widths are memoized, so the search runs in well under a second.
   */
 object GHD {
 
   def decompose(q: Hypergraph): HyperTree = {
     val m = q.numAtoms
     val widthCache = collection.mutable.Map.empty[Vector[Int], Double]
+    val boundCache = collection.mutable.Map.empty[Set[Int], Double]
 
     def groupWidth(group: Vector[Int]): Double =
       widthCache.getOrElseUpdate(group, {
         val attrs = group.flatMap(q.edges).toSet
         Simplex.fractionalEdgeCover(attrs, group.map(q.edges))
       })
+
+    // A lower bound on the width of every group whose bag holds `bag`: ρ* of
+    // the bag over all the query's atoms. A group covers its bag with its own
+    // atoms only, and a larger bag needs at least as much cover, so unlike
+    // the group's own width the bound never falls as the group grows.
+    def bagBound(bag: Set[Int]): Double =
+      boundCache.getOrElseUpdate(bag, Simplex.fractionalEdgeCover(bag, q.edges))
 
     // (max width, max arity, width sum, node count)
     type Score = (Double, Int, Double, Int)
@@ -75,11 +85,14 @@ object GHD {
     }
 
     // Enumerate set partitions: atom i joins an existing group or opens one.
-    // A complete partition that would beat the best is kept iff its bags'
-    // max-weight spanning tree has running intersection.
-    def rec(i: Int, groups: Vector[Vector[Int]]): Unit = {
-      if (i == m) {
-        val bags   = groups.map(_.flatMap(q.edges).toSet)
+    // Each group's bag is carried along, and `low` is the largest bagBound
+    // so far. A partial partition whose `low` already exceeds the best known
+    // maximum width cannot win. A complete partition that would beat the
+    // best is kept iff its bags' max-weight spanning tree has running
+    // intersection.
+    def rec(i: Int, groups: Vector[Vector[Int]], bags: Vector[Set[Int]], low: Double): Unit =
+      if (best.exists { case ((w, _, _, _), _, _) => low > w + 1e-9 }) ()
+      else if (i == m) {
         val widths = groups.map(groupWidth)
         val score  = (widths.max, bags.map(_.size).max, widths.sum, groups.length)
         if (better(score)) {
@@ -87,19 +100,13 @@ object GHD {
           if (GYO.hasRunningIntersection(bags, edges)) best = Some((score, groups, edges))
         }
       } else {
-        // Prune: a partial partition whose widths already exceed the best
-        // known maximum cannot win.
-        val partialW = if (groups.isEmpty) 0.0 else groups.map(groupWidth).max
-        val prune = best.exists { case ((w, _, _, _), _, _) => partialW > w + 1e-9 }
-        if (!prune) {
-          groups.indices.foreach { g =>
-            rec(i + 1, groups.updated(g, groups(g) :+ i))
-          }
-          rec(i + 1, groups :+ Vector(i))
+        groups.indices.foreach { g =>
+          val bag = bags(g) ++ q.edges(i)
+          rec(i + 1, groups.updated(g, groups(g) :+ i), bags.updated(g, bag), low max bagBound(bag))
         }
+        rec(i + 1, groups :+ Vector(i), bags :+ q.edges(i), low max bagBound(q.edges(i)))
       }
-    }
-    rec(0, Vector.empty)
+    rec(0, Vector.empty, Vector.empty, 0.0)
 
     val (_, groups, edges) = best.getOrElse(throw new IllegalStateException(
       s"no acyclic decomposition found for $q — the trivial single bag is always acyclic"))

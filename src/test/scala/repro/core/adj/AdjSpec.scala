@@ -234,6 +234,13 @@ class AdjSpec extends SparkSpec {
     assert(drain(df, report) == 0)
   }
 
+  test("a sampling budget below 1 is rejected") {
+    Seq(0, -3).foreach { n =>
+      val e = intercept[IllegalArgumentException](Adj.Config(samples = n))
+      assert(e.getMessage.contains("samples"), e.getMessage)
+    }
+  }
+
   test("run rejects mismatched data arity") {
     val rdd = spark.sparkContext.parallelize(Seq(Array(1L, 2L)))
     intercept[IllegalArgumentException] {

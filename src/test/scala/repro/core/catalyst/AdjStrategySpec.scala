@@ -24,7 +24,6 @@ class AdjStrategySpec extends SparkSpec {
   private lazy val adjSession: SparkSession = {
     val s = spark.newSession()
     s.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
-    s.conf.set("spark.repro.adj.samples", "40")
     s.experimental.extraStrategies = Seq(AdjStrategy(s))
     s
   }
@@ -50,14 +49,6 @@ class AdjStrategySpec extends SparkSpec {
     jobs.asScala.toSeq.map(_.split(' ')).collect {
       case Array(op, "at", site) if site.startsWith("Adj.scala") || site.startsWith("Sampler.scala") => op
     }.sorted
-  }
-
-  /** Plans `sql` with `key` set to `value`, then restores the setting. */
-  private def planWith(key: String, value: String, sql: String): Unit = {
-    val old = adjSession.conf.getOption(key)
-    adjSession.conf.set(key, value)
-    try adjSession.sql(sql).queryExecution.executedPlan
-    finally old.fold(adjSession.conf.unset(key))(adjSession.conf.set(key, _))
   }
 
   test("a 3-way equi-join is planned as AdjJoin") {
@@ -168,16 +159,6 @@ class AdjStrategySpec extends SparkSpec {
     assert(inputJobs(rnd) == Seq.fill(3)("collect") ++ Seq.fill(3)("count"))
   }
 
-  test("a sampling budget below 1 is rejected") {
-    SparkTestData.graphDf(adjSession, TestHelpers.randomGraph(nodes = 12, edges = 24, seed = 70))
-      .createOrReplaceTempView("edges_samples")
-    val sql = SparkSqlJoin.sql(QueryLibrary.q1, "edges_samples")
-    Seq("0", "-3").foreach { n =>
-      val e = intercept[IllegalArgumentException](planWith("spark.repro.adj.samples", n, sql))
-      assert(e.getMessage.contains("samples"), e.getMessage)
-    }
-  }
-
   // Values 0–3; a table may be empty, repeat rows, or hold NULLs. Its
   // variables come from 0–2, 3–5 or 0–5, so joins often fall apart into
   // groups that share no variable.
@@ -236,11 +217,7 @@ class AdjStrategySpec extends SparkSpec {
       Oracle.assertEquivalent(df, joinSql(tables, name), tables.indices.map(i => name(i) -> dfs(i)): _*)
       Prop(planned || !accepts) :| s"an accepted join was not planned as AdjJoin:\n${planString(df)}"
     }
-    val old = adjSession.conf.getOption("spark.repro.adj.samples")
-    adjSession.conf.set("spark.repro.adj.samples", "10")
-    val res =
-      try ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(Seed(16L)), prop)
-      finally old.fold(adjSession.conf.unset("spark.repro.adj.samples"))(adjSession.conf.set("spark.repro.adj.samples", _))
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(Seed(16L)), prop)
     assert(res.passed, res.status.toString)
     assert(seen == Set("arity 1", "arity 2", "arity 3", "disconnected", "empty relation", "duplicate rows",
       "NULL join key", "accepted", "rejected"), seen)
