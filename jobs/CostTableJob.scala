@@ -1,6 +1,7 @@
 package repro.jobs
 
 import repro.bench.Harness
+import repro.data.GraphData
 
 /** spark-submit entrypoint reproducing one of Tables II–IV.
   *
@@ -10,12 +11,19 @@ import repro.bench.Harness
   *
   * AS reproduces Table II, LJ Table III, OK Table IV. Exits with status 1
   * when a Co-Optimization case fails or times out, or when both strategies
-  * finish a query with different result counts.
+  * finish a query with different result counts; with 2 on a bad argument.
   */
 object CostTableJob {
+  val Usage = "usage: CostTableJob [WB|AS|WT|LJ|EN|OK] [budgetSec > 0]"
+
+  /** (dataset, budget seconds per case), or None when `args` are not valid. */
+  def parse(args: Seq[String]): Option[(String, Double)] = for {
+    dataset <- args.headOption.orElse(Some("AS")) if args.length <= 2 && GraphData.byName.contains(dataset)
+    budget  <- args.lift(1).fold(Option(150.0))(_.toDoubleOption.filter(_ > 0))
+  } yield (dataset, budget)
+
   def main(args: Array[String]): Unit = {
-    val dataset = args.headOption.getOrElse("AS")
-    val budget  = args.lift(1).map(_.toDouble).getOrElse(150.0)
+    val (dataset, budget) = parse(args.toSeq).getOrElse { Console.err.println(Usage); sys.exit(2) }
     val spark = Harness.session(s"adj-cost-table-$dataset")
     val faults =
       try {

@@ -10,8 +10,8 @@ import repro.core.hcube.{HCube, Rel, Shares}
 import repro.core.lftj.{Leapfrog, LeapfrogStats, TrieRelation}
 
 /** The one-round multiway join executor (HCubeJ's execution layer): HCube
-  * shuffle with a given share vector, then per-hypercube trie construction
-  * and Leapfrog triejoin.
+  * shuffle on optimized shares, then per-hypercube trie construction and
+  * Leapfrog triejoin.
   *
   * Only the shuffle runs eagerly. The returned result is lazy and is not
   * persisted: each of its partitions evaluates one hypercube whenever a
@@ -38,27 +38,18 @@ object MultiwayJoin {
 
   /** Phases of one execution, in seconds, plus the result size.
     *
-    * `communicationSec` is the HCube shuffle, which `execute` forces. The
-    * rest comes from the cubes the result's consumers have drained, so it is
-    * defined once the result has been drained: until the first cube is
-    * drained `computationSec` and `resultCount` are 0, and after a partial
-    * drain they cover the drained cubes only. A cube evaluated again (a
-    * second drain, or a retried task) replaces its earlier record, so nothing
-    * is counted twice.
-    *
-    * @param numCubes Π p, the number of hypercubes (= result partitions)
+    * `communicationSec` is the HCube shuffle, which `executeOptimized`
+    * forces. The rest comes from the cubes the result's consumers have
+    * drained, so it is defined once the result has been drained: until the
+    * first cube is drained `computationSec` and `resultCount` are 0, and
+    * after a partial drain they cover the drained cubes only. A cube
+    * evaluated again (a second drain, or a retried task) replaces its earlier
+    * record, so nothing is counted twice.
     */
-  final class Timings private[exec] (
-      val communicationSec: Double,
-      val numCubes: Int,
-      acc: CollectionAccumulator[(Int, CubeStats)],
-  ) {
+  final class Timings private[exec] (val communicationSec: Double, acc: CollectionAccumulator[(Int, CubeStats)]) {
 
     /** Stats of every drained cube, by cube id (= result partition index). */
     def cubes: Map[Int, CubeStats] = acc.value.asScala.toMap
-
-    /** Whether every hypercube has been drained. */
-    def drained: Boolean = cubes.size == numCubes
 
     /** Wall-clock span from the first drained cube's start to the last one's end. */
     def computationSec: Double = {
@@ -75,30 +66,35 @@ object MultiwayJoin {
     */
   def levelOf(ord: Array[Int]): Map[Int, Int] = ord.zipWithIndex.toMap
 
-  /** Runs the one-round join.
+  /** Runs the one-round join on the shares that minimize the tuples shuffled
+    * over its own inputs (Sec. III-B, Eq. (3)): every join ADJ runs, bag or
+    * final, gets them.
     *
     * @param rels       input relations (global attribute ids per column)
     * @param ord        Leapfrog attribute order over exactly the attrs used
-    * @param p          HCube share vector indexed by attribute id
-    * @return (result RDD of tuples in attribute-id order, timings); the
-    *         shuffle has run, the join has not: it runs when the result is
-    *         drained, and again on every further drain
+    * @param numAttrs   n, the length of the share vector (attribute ids < n)
+    * @param cubeBudget P, the parallelism target of [[Shares.optimize]]
+    * @return (result RDD of tuples in attribute-id order, timings, shares);
+    *         the shuffle has run, the join has not: it runs when the result
+    *         is drained, and again on every further drain
     */
-  def execute(
+  def executeOptimized(
       spark: SparkSession,
       rels: Seq[Rel],
       ord: Array[Int],
-      p: Array[Int],
-  ): (RDD[Array[Long]], Timings) = {
-    val lvl   = levelOf(ord)
-    val n     = ord.length
+      numAttrs: Int,
+      cubeBudget: Int,
+  ): (RDD[Array[Long]], Timings, Shares.Result) = {
+    val shares = Shares.optimize(rels.map(r => (r.attrs.toSet, r.size)), numAttrs, cubeBudget)
+    val lvl    = levelOf(ord)
+    val n      = ord.length
     // Row reorder: output column = attribute id ascending over used attrs.
     val outPerm = ord.sorted.map(lvl) // out col k takes binding(levels)
 
     // Communication phase: run the shuffle's map side. The result reads the
     // same shuffle, so its consumer's job skips the map stage.
     val t0       = System.nanoTime()
-    val shuffled = HCube.shufflePull(rels, p)
+    val shuffled = HCube.shufflePull(rels, shares.p)
     shuffled.foreachPartition(_ => ())
     val commSec = (System.nanoTime() - t0) / 1e9
 
@@ -139,22 +135,6 @@ object MultiwayJoin {
         }
       }
     }
-    (result, new Timings(commSec, p.product, acc))
-  }
-
-  /** Optimizes shares for the given relations and budget, executes, and
-    * also returns the shares: every join ADJ runs, bag or final, gets the
-    * shares that minimize the tuples shuffled over its own inputs.
-    */
-  def executeOptimized(
-      spark: SparkSession,
-      rels: Seq[Rel],
-      ord: Array[Int],
-      numAttrs: Int,
-      cubeBudget: Int,
-  ): (RDD[Array[Long]], Timings, Shares.Result) = {
-    val shares = Shares.optimize(rels.map(r => (r.attrs.toSet, r.size)), numAttrs, cubeBudget)
-    val (rdd, t) = execute(spark, rels, ord, shares.p)
-    (rdd, t, shares)
+    (result, new Timings(commSec, acc), shares)
   }
 }

@@ -85,7 +85,7 @@ class AdjSpec extends SparkSpec {
     val shares = Shares.optimize(finalRels.map(r => (r.attrs.toSet, r.size)), q.numAttrs, budget)
     val (result, report) = Adj.runPlan(spark, q, rels, budget, plan, tree.nodes)
     assert(report.shuffledTuples == shares.shuffledTuples)
-    assert(report.timings.numCubes == shares.p.product)
+    assert(result.getNumPartitions == shares.cubes) // one partition per cube
     assert(result.count() == report.resultCount)
   }
 
@@ -165,7 +165,7 @@ class AdjSpec extends SparkSpec {
     val shares = Shares.optimize(q.edges.map(e => (e, g.length.toLong)), q.numAttrs,
       budget = math.max(2, sc.defaultParallelism))
     assert(report.shuffledTuples == shares.shuffledTuples)
-    assert(report.timings.numCubes == shares.p.product)
+    assert(result.getNumPartitions == shares.cubes) // one partition per cube
     assert(result.count() == report.resultCount)
   }
 
@@ -257,9 +257,9 @@ class AdjSpec extends SparkSpec {
       assert(evals.perJoin().isEmpty, "a cube was evaluated before the result was drained")
       assert(report.resultCount == 0 && report.computationSec == 0.0)
       val n = result.count()
-      val cubes = report.timings.numCubes
+      val cubes = result.getNumPartitions // one partition per cube
       assert(evals.perJoin().values.toSeq == Seq((0 until cubes).map(_ -> 1).toMap))
-      assert(report.timings.drained && report.resultCount == n && report.computationSec > 0)
+      assert(report.timings.cubes.size == cubes && report.resultCount == n && report.computationSec > 0)
     }
   }
 
@@ -278,8 +278,8 @@ class AdjSpec extends SparkSpec {
       // The final join over the bag: its shuffle reads the persisted bag, so
       // neither the shuffle nor the drain evaluates the bag again.
       val others = tree.nodes.indices.filter(_ != v).flatMap(u => tree.nodes(u).atomIdxs.map(rs))
-      val (result, t) = MultiwayJoin.execute(spark, bag +: others, (0 until q.numAttrs).toArray,
-        Array.tabulate(q.numAttrs)(a => if (a == 0) 2 else 1))
+      val (result, t, _) = MultiwayJoin.executeOptimized(spark, bag +: others, (0 until q.numAttrs).toArray,
+        q.numAttrs, cubeBudget = 2)
       bag.rdd.unpersist(blocking = true)
       assert(result.count() == t.resultCount)
       val all = evals.perJoin()

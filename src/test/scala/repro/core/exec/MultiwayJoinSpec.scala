@@ -19,8 +19,10 @@ class MultiwayJoinSpec extends SparkSpec {
   test("one-round triangle join matches the DuckDB oracle") {
     val g = TestHelpers.randomGraph(nodes = 20, edges = 50, seed = 7)
     val q = QueryLibrary.q1
-    val (rdd, timings) = MultiwayJoin.execute(
-      spark, rels(q, g), ord = Array(0, 1, 2), p = Array(2, 2, 2))
+    // Budget 8's optimum for three equal-size binary atoms splits each attribute in two.
+    val (rdd, timings, shares) = MultiwayJoin.executeOptimized(
+      spark, rels(q, g), ord = Array(0, 1, 2), numAttrs = 3, cubeBudget = 8)
+    assert(shares.p.toSeq == Seq(2, 2, 2), shares)
     val df = Adj.toDf(spark, rdd, q.attributes)
     Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"),
       "e" -> SparkTestData.graphDf(spark, g))
@@ -41,8 +43,9 @@ class MultiwayJoinSpec extends SparkSpec {
   test("one-round join matches the oracle under a permuted attribute order") {
     val g = TestHelpers.randomGraph(nodes = 14, edges = 35, seed = 9)
     val q = QueryLibrary.q4
-    val (rdd, _) = MultiwayJoin.execute(
-      spark, rels(q, g), ord = Array(4, 1, 0, 2, 3), p = Array(1, 2, 2, 1, 1))
+    val (rdd, _, shares) = MultiwayJoin.executeOptimized(
+      spark, rels(q, g), ord = Array(4, 1, 0, 2, 3), numAttrs = 5, cubeBudget = 4)
+    assert(shares.cubes > 1, shares)
     val df = Adj.toDf(spark, rdd, q.attributes)
     Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"),
       "e" -> SparkTestData.graphDf(spark, g))
@@ -51,7 +54,8 @@ class MultiwayJoinSpec extends SparkSpec {
   test("single-cube execution (p all ones) equals the local naive join") {
     val g = TestHelpers.randomGraph(nodes = 10, edges = 24, seed = 11)
     val q = QueryLibrary.q1
-    val (rdd, _) = MultiwayJoin.execute(spark, rels(q, g), Array(0, 1, 2), Array(1, 1, 1))
+    val (rdd, _, shares) = MultiwayJoin.executeOptimized(spark, rels(q, g), Array(0, 1, 2), 3, cubeBudget = 1)
+    assert(shares.p.toSeq == Seq(1, 1, 1), shares)
     val got = rdd.map(_.toVector).collect().toSet
     assert(got == TestHelpers.naiveJoin(q, TestHelpers.bindGraph(q, g)))
   }
@@ -59,7 +63,7 @@ class MultiwayJoinSpec extends SparkSpec {
   test("empty input yields an empty result") {
     val q = QueryLibrary.q1
     val empty = Seq.empty[Array[Long]]
-    val (rdd, _) = MultiwayJoin.execute(spark, rels(q, empty), Array(0, 1, 2), Array(2, 2, 2))
+    val (rdd, _, _) = MultiwayJoin.executeOptimized(spark, rels(q, empty), Array(0, 1, 2), 3, cubeBudget = 8)
     assert(rdd.isEmpty())
   }
 
@@ -67,8 +71,8 @@ class MultiwayJoinSpec extends SparkSpec {
     val clique = (1 to 5).flatMap(x => (1 to 5).filter(_ != x).map(y => Array(x.toLong, y.toLong)))
     val extra  = Seq(Array(6L, 7L), Array(7L, 6L))
     val q = QueryLibrary.q3
-    val (rdd, _) = MultiwayJoin.execute(
-      spark, rels(q, clique ++ extra), (0 until 5).toArray, Array(2, 2, 1, 1, 1))
+    val (rdd, _, _) = MultiwayJoin.executeOptimized(
+      spark, rels(q, clique ++ extra), (0 until 5).toArray, 5, cubeBudget = 4)
     assert(rdd.count() == 120L)
   }
 
@@ -83,7 +87,8 @@ class MultiwayJoinSpec extends SparkSpec {
     def run(input: Int => RDD[Array[Long]]) = {
       val rels = q.atoms.indices.map(i =>
         Rel(q.atoms(i).name, q.atoms(i).attrs.map(q.attrId), input(i), data(i).length.toLong))
-      MultiwayJoin.execute(spark, rels, Array(0, 1, 2, 3), Array(2, 2, 2, 1))._1.map(_.toVector).collect().toSeq.sorted
+      MultiwayJoin.executeOptimized(spark, rels, Array(0, 1, 2, 3), 4, cubeBudget = 8)._1
+        .map(_.toVector).collect().toSeq.sorted
     }
     val (sharedG, ownH) = (sc.parallelize(g, 3), sc.parallelize(h, 2))
     val got = run(i => if (i == 4) ownH else sharedG)
@@ -94,11 +99,11 @@ class MultiwayJoinSpec extends SparkSpec {
   test("the result is lazy: timings read 0 until it is drained, and a second drain counts once") {
     val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 12)
     val q = QueryLibrary.q1
-    val (rdd, t) = MultiwayJoin.execute(spark, rels(q, g), Array(0, 1, 2), Array(2, 2, 1))
-    assert(t.communicationSec > 0)
-    assert(t.cubes.isEmpty && !t.drained && t.resultCount == 0 && t.computationSec == 0.0)
+    val (rdd, t, shares) = MultiwayJoin.executeOptimized(spark, rels(q, g), Array(0, 1, 2), 3, cubeBudget = 4)
+    assert(t.communicationSec > 0 && shares.cubes > 1)
+    assert(t.cubes.isEmpty && t.resultCount == 0 && t.computationSec == 0.0)
     val n = rdd.count()
-    assert(t.drained && t.cubes.keySet == (0 until 4).toSet)
+    assert(t.cubes.keySet == (0 until shares.cubes).toSet)
     assert(t.resultCount == n && t.computationSec > 0)
     assert(t.cubes.values.map(_.leapfrog.extensions).sum >= n)
     assert(rdd.count() == n && t.resultCount == n)
@@ -107,7 +112,7 @@ class MultiwayJoinSpec extends SparkSpec {
   test("each cube's memo counters reach the timings (Q5 in textual order)") {
     val g = TestHelpers.randomGraph(nodes = 30, edges = 160, seed = 53)
     val q = QueryLibrary.q5
-    val (rdd, t) = MultiwayJoin.execute(spark, rels(q, g), (0 until 5).toArray, Array(2, 2, 1, 1, 1))
+    val (rdd, t, _) = MultiwayJoin.executeOptimized(spark, rels(q, g), (0 until 5).toArray, 5, cubeBudget = 4)
     assert(rdd.map(_.toVector).collect().toSet == TestHelpers.naiveJoin(q, TestHelpers.bindGraph(q, g)))
     def sum(f: repro.core.lftj.LeapfrogStats => Array[Long]) =
       (0 until 5).map(l => t.cubes.values.map(c => f(c.leapfrog)(l)).sum)
